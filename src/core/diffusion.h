@@ -83,13 +83,21 @@ class Diffusion {
   /// sequence of single-sample calls against the same parent generator —
   /// the property the batched serving path (DotOracle::EstimateBatch,
   /// OracleService::QueryBatch) relies on.
+  ///
+  /// Sample-parallel: after the calling thread draws the initial noise, the
+  /// batch is cut into min(B, pool threads) contiguous slices, each running
+  /// its whole reverse trajectory as one chunk of a global-pool ParallelFor
+  /// (so the model's per-op ParallelFor calls run inline inside a slice).
+  /// The result is bitwise identical for any slicing, given a batch-position
+  /// invariant predictor whose PredictNoise is safe to call concurrently.
   Tensor Sample(const NoisePredictor& model, const Tensor& cond,
                 const std::vector<int64_t>& out_shape, Rng* rng) const;
 
   /// Strided deterministic sampling (DDIM, eta = 0) using `num_eval_steps`
   /// evenly spaced steps — the fast-inference option benchmarked in the
   /// hyper-parameter study. With num_eval_steps == N this approaches the
-  /// full reverse process at a fraction of the cost.
+  /// full reverse process at a fraction of the cost. Noise streams and
+  /// slicing as in Sample().
   Tensor SampleStrided(const NoisePredictor& model, const Tensor& cond,
                        const std::vector<int64_t>& out_shape,
                        int64_t num_eval_steps, Rng* rng) const;
@@ -104,12 +112,6 @@ class Diffusion {
   /// Converts the network output at step `t` into (clipped x0_hat, eps_hat).
   void SplitPrediction(float x_t, float model_out, double ab_t, float* x0_hat,
                        float* eps_hat) const;
-
-  /// Forks one noise stream per batch sample (batch-size invariance above).
-  static std::vector<Rng> ForkSampleStreams(Rng* rng, int64_t b);
-  /// Draws x_N from N(0, I), sample i from stream i.
-  static Tensor InitialNoise(const std::vector<int64_t>& out_shape,
-                             std::vector<Rng>* streams);
 
   DiffusionSchedule schedule_;
   Parameterization param_;

@@ -29,6 +29,44 @@ std::atomic<ThreadPool*> g_global_pool{nullptr};
 std::mutex g_global_pool_mu;
 std::unique_ptr<ThreadPool> g_global_pool_owner;
 
+// True while this thread runs a chunk of a forked ParallelFor: a nested call
+// then runs inline instead of forking again.
+thread_local bool t_in_chunk = false;
+
+// One ParallelFor call's chunks and its completion latch. The caller and
+// its helper tasks claim chunk indices from `next` until none are left. A
+// helper that starts after every chunk was claimed touches only the
+// counters, which its shared_ptr keeps alive; `fn` is called only for a
+// claimed chunk, and the caller cannot return before that chunk is done.
+struct ChunkGroup {
+  ChunkGroup(const std::function<void(int64_t, int64_t)>& fn, int64_t n,
+             int64_t per, int64_t chunks)
+      : fn(fn), n(n), per(per), chunks(chunks) {}
+
+  void RunChunks() {
+    bool outer = t_in_chunk;
+    t_in_chunk = true;
+    int64_t ran = 0;
+    for (int64_t c = next.fetch_add(1); c < chunks; c = next.fetch_add(1)) {
+      int64_t begin = c * per;
+      fn(begin, std::min(n, begin + per));
+      ++ran;
+    }
+    t_in_chunk = outer;
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(mu);
+    done += ran;
+    if (done == chunks) done_cv.notify_all();
+  }
+
+  const std::function<void(int64_t, int64_t)>& fn;
+  const int64_t n, per, chunks;
+  std::atomic<int64_t> next{0};
+  std::mutex mu;
+  std::condition_variable done_cv;
+  int64_t done = 0;  // chunks finished, guarded by mu
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -62,14 +100,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -83,10 +115,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) done_cv_.notify_all();
-    }
   }
 }
 
@@ -116,19 +144,21 @@ void ParallelFor(ThreadPool* pool, int64_t n,
                  const std::function<void(int64_t, int64_t)>& fn,
                  int64_t min_chunk) {
   if (n <= 0) return;
-  if (pool == nullptr || n <= min_chunk || pool->num_threads() == 1) {
+  if (pool == nullptr || n <= min_chunk || pool->num_threads() == 1 ||
+      t_in_chunk) {
     fn(0, n);
     return;
   }
   int64_t chunks = std::min<int64_t>(pool->num_threads(), (n + min_chunk - 1) / min_chunk);
   int64_t per = (n + chunks - 1) / chunks;
-  for (int64_t c = 0; c < chunks; ++c) {
-    int64_t begin = c * per;
-    int64_t end = std::min(n, begin + per);
-    if (begin >= end) break;
-    pool->Submit([=, &fn] { fn(begin, end); });
+  chunks = (n + per - 1) / per;  // rounding `per` up can leave tail chunks empty
+  auto group = std::make_shared<ChunkGroup>(fn, n, per, chunks);
+  for (int64_t h = 1; h < chunks; ++h) {
+    pool->Submit([group] { group->RunChunks(); });
   }
-  pool->Wait();
+  group->RunChunks();
+  std::unique_lock<std::mutex> lock(group->mu);
+  group->done_cv.wait(lock, [&group] { return group->done == group->chunks; });
 }
 
 }  // namespace dot

@@ -1,5 +1,8 @@
-// Fixed-size thread pool with a ParallelFor helper. Used to parallelize
-// im2col/matmul in the tensor library and dataset generation.
+// Fixed-size thread pool with a fork-join ParallelFor. The tensor kernels
+// (conv/im2col, GEMM) split single ops over it, and the diffusion samplers
+// split a batch into slices that each run their whole reverse trajectory as
+// one chunk. Many callers share the process-wide pool at once: the shards
+// serving concurrent sub-waves, and a fine-tune round beside them.
 
 #ifndef DOT_UTIL_THREAD_POOL_H_
 #define DOT_UTIL_THREAD_POOL_H_
@@ -19,16 +22,16 @@ class ThreadPool {
  public:
   /// Creates `num_threads` workers (>= 1).
   explicit ThreadPool(int num_threads);
+  /// Runs the tasks still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task for execution.
+  /// Enqueues a task for execution. The pool does not track completion:
+  /// a caller that must wait for its tasks brings its own latch (see
+  /// ParallelFor).
   void Submit(std::function<void()> task);
-
-  /// Blocks until all submitted tasks have finished.
-  void Wait();
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
@@ -48,14 +51,22 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
-  std::condition_variable task_cv_;   // signals workers
-  std::condition_variable done_cv_;   // signals Wait()
-  int64_t in_flight_ = 0;
+  std::condition_variable task_cv_;  // signals workers
   bool shutdown_ = false;
 };
 
-/// \brief Splits [0, n) into contiguous chunks and runs `fn(begin, end)` on
-/// the pool; falls back to inline execution for small n or null pool.
+/// \brief Splits [0, n) into at most `pool->num_threads()` contiguous chunks
+/// of at least `min_chunk` indices and runs `fn(begin, end)` once per chunk.
+///
+/// Fork-join: with two or more chunks, the caller claims and runs chunks
+/// itself, helped by up to num_threads - 1 pool tasks, and returns once
+/// every chunk of *this call* has finished. It never waits for other
+/// callers' work, so concurrent callers do not convoy on each other. A
+/// ParallelFor issued from inside such a chunk runs inline (one `fn(0, n)`
+/// on the calling thread). So does a call with a single chunk (n <=
+/// min_chunk, or a null or one-thread pool), but its body is not a chunk:
+/// calls nested in it may still fork. `fn` must therefore give the same
+/// result for any partition of [0, n).
 void ParallelFor(ThreadPool* pool, int64_t n,
                  const std::function<void(int64_t, int64_t)>& fn,
                  int64_t min_chunk = 1024);

@@ -85,11 +85,13 @@ TEST(Determinism, UnetForwardIsSeedDeterministic) {
 // across disjoint output regions and the k-accumulation order is fixed. The
 // int8 path inherits the same contract for free — integer accumulation has
 // no rounding at all — so the sweep runs the full kernel x precision grid.
-// Verified end to end here: conv2d forward + backward, masked attention, and
-// the UNet denoiser (the oracle's stage-2 network) at 1, 4, and
-// hardware-concurrency threads, plus run-to-run identity at each count.
-// Under kInt8 the recording conv forward + backward stay fp32 by the
-// grad-mode contract; the inference blocks take the quantized path.
+// Verified end to end here: conv2d forward + backward, masked attention, the
+// UNet denoiser (the oracle's stage-1 network) and both samplers driving it
+// at 1, 2, 3, 4 and hardware-concurrency threads, plus run-to-run identity
+// at each count. The samplers slice the batch by thread count, so this also
+// proves slicing bitwise-safe. Under kInt8 the recording conv forward +
+// backward stay fp32 by the grad-mode contract; the inference blocks take
+// the quantized path.
 
 class KernelThreadSweep
     : public ::testing::TestWithParam<std::tuple<gemm::Kernel, gemm::Precision>> {
@@ -149,7 +151,7 @@ class KernelThreadSweep
       std::vector<float> key_bias = {0, 0, 0, 0, -1e9f, -1e9f};
       append(att.Forward(ax, &key_bias).ToVector());
     }
-    // UNet denoiser forward — the oracle's stage-2 network.
+    // UNet denoiser forward — the oracle's stage-1 network.
     {
       UnetConfig cfg;
       cfg.base_channels = 8;
@@ -161,6 +163,26 @@ class KernelThreadSweep
       Rng in_rng(10);
       Tensor ux = Tensor::Randn({1, 3, 8, 8}, &in_rng);
       append(unet.PredictNoise(ux, {3}, Tensor::Zeros({1, 5})).ToVector());
+    }
+    // Both samplers at b=5 on the UNet: the thread counts below cut the
+    // batch into different slice partitions. Sampling runs inside the
+    // NoGradGuard, so a slice that recorded a graph would run its forwards
+    // in fp32 and break the int8 comparison against the 1-thread run.
+    {
+      UnetConfig cfg;
+      cfg.base_channels = 8;
+      cfg.levels = 2;
+      cfg.cond_dim = 16;
+      cfg.max_steps = 6;
+      Rng rng(31);
+      UnetDenoiser unet(cfg, &rng);
+      Diffusion diff{DiffusionSchedule(6)};
+      Rng cond_rng(32);
+      Tensor cond = Tensor::Rand({5, 5}, &cond_rng);
+      Rng sample_rng(33);
+      append(diff.SampleStrided(unet, cond, {5, 3, 8, 8}, 3, &sample_rng)
+                 .ToVector());
+      append(diff.Sample(unet, cond, {5, 3, 8, 8}, &sample_rng).ToVector());
     }
     return out;
   }
@@ -206,7 +228,7 @@ TEST_P(KernelThreadSweep, BitwiseIdenticalAcrossThreadCounts) {
   ThreadPool::ResetGlobalForTesting(1);
   const std::vector<float> baseline = RunWorkload();
   ASSERT_FALSE(baseline.empty());
-  for (int threads : {1, 4, hw}) {
+  for (int threads : {1, 2, 3, 4, hw}) {
     ThreadPool::ResetGlobalForTesting(threads);
     std::vector<float> run1 = RunWorkload();
     std::vector<float> run2 = RunWorkload();  // run-to-run identity

@@ -3,9 +3,12 @@
 
 #include "core/diffusion.h"
 
+#include <atomic>
 #include <cmath>
 
 #include <gtest/gtest.h>
+
+#include "util/thread_pool.h"
 
 namespace dot {
 namespace {
@@ -202,6 +205,28 @@ TEST(DiffusionTest, StridedBatchMatchesSingleSlices) {
   }
 }
 
+/// Counts PredictNoise calls, those made with grad mode on and those given
+/// more than one sample, from whichever thread makes them.
+class GradModeProbe : public NoisePredictor {
+ public:
+  Tensor PredictNoise(const Tensor& x, const std::vector<int64_t>&,
+                      const Tensor&) const override {
+    calls_++;
+    if (GradModeEnabled()) grad_enabled_calls_++;
+    if (x.size(0) > 1) multi_sample_calls_++;
+    return Tensor::Zeros(x.shape());
+  }
+
+  int calls() const { return calls_.load(); }
+  int grad_enabled_calls() const { return grad_enabled_calls_.load(); }
+  int multi_sample_calls() const { return multi_sample_calls_.load(); }
+
+ private:
+  mutable std::atomic<int> calls_{0};
+  mutable std::atomic<int> grad_enabled_calls_{0};
+  mutable std::atomic<int> multi_sample_calls_{0};
+};
+
 TEST(DiffusionTest, SamplersRunWithoutBuildingGraphs) {
   Diffusion d{DiffusionSchedule(10)};
   ZeroPredictor model;
@@ -209,6 +234,20 @@ TEST(DiffusionTest, SamplersRunWithoutBuildingGraphs) {
   Rng rng(9);
   Tensor x = d.Sample(model, cond, {1, 3, 4, 4}, &rng);
   EXPECT_EQ(x.grad_fn(), nullptr);
+
+  // Grad mode is thread-local: with b=4 on a four-thread pool the batch is
+  // sliced, and slices on pool threads must disable it themselves.
+  ThreadPool::ResetGlobalForTesting(4);
+  GradModeProbe probe;
+  Tensor cond4 = Tensor::Zeros({4, 5});
+  Rng rng4(10);
+  EXPECT_EQ(d.Sample(probe, cond4, {4, 3, 4, 4}, &rng4).grad_fn(), nullptr);
+  EXPECT_EQ(d.SampleStrided(probe, cond4, {4, 3, 4, 4}, 5, &rng4).grad_fn(),
+            nullptr);
+  ThreadPool::ResetGlobalForTesting();
+  EXPECT_EQ(probe.calls(), 4 * (10 + 5));
+  EXPECT_EQ(probe.grad_enabled_calls(), 0);
+  EXPECT_EQ(probe.multi_sample_calls(), 0) << "the batch was not sliced";
 }
 
 }  // namespace

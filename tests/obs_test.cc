@@ -1,8 +1,12 @@
 // Tests for the observability subsystem: metrics registry, trace spans
 // (including nesting across thread-pool tasks), and op-level profiling.
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -261,27 +265,42 @@ TEST(TraceTest, SpanNestingOnOneThread) {
 }
 
 TEST(TraceTest, NestingPropagatesAcrossThreadPoolTasks) {
+  // Four chunks on a four-thread pool, each held until all four have
+  // started: the caller runs one and Submit()ed helpers run the other
+  // three, so spans from pool threads are checked too.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable all_started;
+  int started = 0;
   obs::StartTracing();
   uint64_t outer_id = 0;
   {
     obs::TraceSpan outer("submit_site");
     outer_id = obs::CurrentSpanId();
-    ThreadPool* pool = ThreadPool::Global();
-    for (int i = 0; i < 4; ++i) {
-      pool->Submit([] { obs::TraceSpan task("pool_task"); });
-    }
-    pool->Wait();
+    ParallelFor(
+        &pool, 4,
+        [&](int64_t, int64_t) {
+          obs::TraceSpan task("pool_task");
+          std::unique_lock<std::mutex> lock(mu);
+          if (++started == 4) all_started.notify_all();
+          all_started.wait_for(lock, std::chrono::seconds(5),
+                               [&] { return started == 4; });
+        },
+        /*min_chunk=*/1);
   }
   std::vector<obs::TraceEvent> events = obs::StopTracing();
   int task_spans = 0;
+  std::set<int> task_threads;
   for (const auto& e : events) {
     if (e.name == "pool_task") {
       ++task_spans;
+      task_threads.insert(e.tid);
       EXPECT_EQ(e.parent_id, outer_id)
           << "pool task span must report the submitting span as parent";
     }
   }
   EXPECT_EQ(task_spans, 4);
+  EXPECT_EQ(task_threads.size(), 4u);
 }
 
 TEST(TraceTest, ChromeJsonExportIsLoadable) {

@@ -5,11 +5,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <iterator>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/checkpoint.h"
@@ -185,8 +189,12 @@ TEST(TableTest, CsvRoundTripAndEscaping) {
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.Submit([&count] { count++; });
-  pool.Wait();
+  ParallelFor(
+      &pool, 100,
+      [&count](int64_t b, int64_t e) {
+        for (int64_t i = b; i < e; ++i) count++;
+      },
+      /*min_chunk=*/1);
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -200,6 +208,77 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
       },
       /*min_chunk=*/128);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Fork-join: a ParallelFor returns once its own chunks are done, whatever
+// other callers have in flight on the same pool. Caller A's chunks block
+// until the test releases them, which it does only after caller B has
+// returned; a pool-wide wait would hold B until the 5 s fallback released A.
+TEST(ThreadPoolTest, ParallelForWaitsOnlyForItsOwnChunks) {
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::promise<void> a_entered;
+  std::once_flag a_entered_once;
+  std::atomic<int> a_blocked{0};  // A's chunks currently blocked
+  std::thread caller_a([&] {
+    ParallelFor(
+        &pool, 2,
+        [&](int64_t, int64_t) {
+          a_blocked++;
+          std::call_once(a_entered_once, [&] { a_entered.set_value(); });
+          released.wait_for(std::chrono::seconds(5));
+          a_blocked--;
+        },
+        /*min_chunk=*/1);
+  });
+  a_entered.get_future().wait();
+
+  std::atomic<int> b_hits{0};
+  bool a_blocked_when_b_returned = false;
+  std::thread caller_b([&] {
+    ParallelFor(
+        &pool, 2,
+        [&](int64_t b, int64_t e) { b_hits += static_cast<int>(e - b); },
+        /*min_chunk=*/1);
+    a_blocked_when_b_returned = a_blocked.load() > 0;
+    release.set_value();
+  });
+  caller_b.join();
+  caller_a.join();
+  EXPECT_EQ(b_hits.load(), 2);
+  EXPECT_TRUE(a_blocked_when_b_returned)
+      << "caller B waited for caller A's chunks to finish";
+}
+
+// A ParallelFor body that calls ParallelFor on the same pool: the inner call
+// runs inline as one fn(0, n), so it completes and every index is covered
+// once. A nested call that waited for the whole pool to go idle would wait
+// for its own enclosing chunk forever; the ctest TIMEOUT on this suite
+// bounds that hang.
+TEST(ThreadPoolTest, NestedParallelForRunsInlineAndCoversRange) {
+  constexpr int64_t kOuter = 8, kInner = 300;
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> split_inner_calls{0};
+  ParallelFor(
+      &pool, kOuter,
+      [&](int64_t ob, int64_t oe) {
+        for (int64_t o = ob; o < oe; ++o) {
+          ParallelFor(
+              &pool, kInner,
+              [&, o](int64_t b, int64_t e) {
+                if (b != 0 || e != kInner) split_inner_calls++;
+                for (int64_t i = b; i < e; ++i) {
+                  hits[static_cast<size_t>(o * kInner + i)]++;
+                }
+              },
+              /*min_chunk=*/16);
+        }
+      },
+      /*min_chunk=*/1);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(split_inner_calls.load(), 0);
 }
 
 TEST(ThreadPoolTest, ParallelForInlineForSmallN) {
