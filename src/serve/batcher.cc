@@ -77,10 +77,13 @@ Status DynamicBatcher::Submit(const OdtInput& odt, double deadline_ms,
     return Status::ResourceExhausted("server overloaded: queue full");
   }
   double now = Now();
-  if (!queue_.empty() &&
+  if (static_cast<int64_t>(queue_.size()) >= config_.max_batch &&
       now - queue_.front().enqueue_ms > config_.queue_budget_ms) {
-    // The head has already waited past the latency budget: the backend is
-    // behind, and anything admitted now would only be served stale. Shed.
+    // A full wave is already queued and its head has waited past the
+    // latency budget: the backend is behind, and anything admitted now
+    // would only be served stale. Shed. An arrival that still fits in the
+    // next wave is not behind, even when a short age-flushed wave left a
+    // few requests to go stale while the backend ran it.
     ++stats_.rejected_stale;
     metrics_.rejected_stale->Increment();
     return Status::ResourceExhausted("server overloaded: queue stale");

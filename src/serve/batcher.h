@@ -10,11 +10,11 @@
 // urgent request can afford.
 //
 // Admission control is the backpressure mechanism: a Submit against a full
-// queue, or while the queue's head has already waited past
-// `queue_budget_ms` (the backend is not keeping up; anything added now
-// would be served stale), is rejected immediately with a typed
-// ResourceExhausted — overload answers in microseconds instead of queueing
-// without bound.
+// queue, or while a full wave (`max_batch` requests) is queued and its head
+// has already waited past `queue_budget_ms` (the backend is not keeping up;
+// anything added now would be served stale), is rejected immediately with a
+// typed ResourceExhausted — overload answers in microseconds instead of
+// queueing without bound.
 //
 // Shutdown() drains gracefully: no new admissions, every queued request is
 // flushed in waves and answered before the call returns.
@@ -81,8 +81,9 @@ struct BatcherConfig {
   double max_wave_age_ms = 5.0;
   /// Admission control: hard queue bound...
   int64_t queue_capacity = 1024;
-  /// ...and the staleness budget — reject new arrivals while the queue's
-  /// head has already waited longer than this.
+  /// ...and the staleness budget — reject new arrivals while at least
+  /// max_batch requests are queued and the head has already waited longer
+  /// than this.
   double queue_budget_ms = 100.0;
   /// Injectable monotonic clock in milliseconds; defaults to steady_clock.
   /// Custom clocks require manual_pump (the background thread sleeps in
@@ -97,7 +98,7 @@ struct BatcherStats {
   int64_t submitted = 0;        ///< admitted requests
   int64_t completed = 0;        ///< callbacks delivered
   int64_t rejected_full = 0;    ///< typed overload: queue at capacity
-  int64_t rejected_stale = 0;   ///< typed overload: head waited past budget
+  int64_t rejected_stale = 0;   ///< typed overload: full wave queued, head stale
   int64_t waves = 0;            ///< backend invocations
   int64_t size_flushes = 0;     ///< waves triggered by max_batch
   int64_t age_flushes = 0;      ///< waves triggered by max_wave_age_ms

@@ -40,6 +40,7 @@
 #include "obs/profile.h"
 #include "tensor/quantize.h"
 #include "tensor/storage.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -70,9 +71,10 @@ int64_t RoundUp(int64_t a, int64_t b) { return CeilDiv(a, b) * b; }
 struct AlignedBuffer {
   explicit AlignedBuffer(int64_t floats) {
     void* p = nullptr;
-    if (posix_memalign(&p, 64, static_cast<size_t>(floats) * sizeof(float)) != 0) {
-      p = nullptr;
-    }
+    const int rc =
+        posix_memalign(&p, 64, static_cast<size_t>(floats) * sizeof(float));
+    DOT_CHECK(rc == 0) << "gemm: cannot allocate a " << floats
+                       << "-float pack buffer (posix_memalign error " << rc << ")";
     data = static_cast<float*>(p);
   }
   ~AlignedBuffer() { std::free(data); }
@@ -463,7 +465,10 @@ void RunBlockedEngine(Layout layout, const float* a, const float* b, float* c,
   const int64_t mc_max = RoundUp(kMCBase, mr);
   const int64_t nc_max = RoundUp(kNCBase, nr);
   ThreadPool* pool = ThreadPool::Global();
-  AlignedBuffer bpack(kKC * nc_max);
+  // Pack buffers hold one block of this product's panels, so a small
+  // product allocates small buffers (k >= 1 here).
+  const int64_t kc_max = std::min(kKC, k);
+  AlignedBuffer bpack(kc_max * RoundUp(std::min(nc_max, n), nr));
   for (int64_t jc = 0; jc < n; jc += nc_max) {
     const int64_t nc = std::min(nc_max, n - jc);
     const int64_t n_panels = CeilDiv(nc, nr);
@@ -488,7 +493,7 @@ void RunBlockedEngine(Layout layout, const float* a, const float* b, float* c,
       ParallelFor(
           pool, m_blocks,
           [&](int64_t bb, int64_t be) {
-            AlignedBuffer apack(mc_max * kKC);
+            AlignedBuffer apack(RoundUp(std::min(mc_max, m), mr) * kc_max);
             alignas(64) float acc[kMaxMR * kMaxNR];
             for (int64_t ib = bb; ib < be; ++ib) {
               const int64_t ic = ib * mc_max;

@@ -1,7 +1,9 @@
 // Elementwise, shape and reduction operators.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <type_traits>
 
 #include "tensor/ops.h"
 #include "tensor/ops_internal.h"
@@ -14,35 +16,110 @@ using internal::RowMajorStrides;
 
 namespace {
 
-// Broadcast execution plan: per-output-dim input strides (0 on broadcast dims).
-struct BcastPlan {
-  std::vector<int64_t> out_shape;
-  std::vector<int64_t> a_stride;
-  std::vector<int64_t> b_stride;
-  bool same = false;  // fast path: identical shapes
+// ---- Strided-run walker -----------------------------------------------------
+//
+// The broadcasting binary ops, AddInPlace_ and Permute walk one row-major
+// index space while each operand steps through memory with its own per-dim
+// strides (0 on a broadcast dim). The walker drops size-1 dims and merges
+// adjacent dims that every operand crosses as one span, then hands each
+// innermost run to a tight loop whose strides are 0, 1 or one fixed step.
+// Runs arrive in row-major order, so elements are visited exactly as a plain
+// N-d index loop visits them: gradients accumulated into a broadcast operand
+// keep that loop's summation order, and every result equals its bitwise.
+
+/// The index space `shape` walked by K strided operands; stride[k][d] is
+/// operand k's element step along dim d.
+template <size_t K>
+struct StridedWalk {
+  std::vector<int64_t> shape;
+  std::array<std::vector<int64_t>, K> stride;
+
+  /// Operand k's element step within a run.
+  int64_t step(size_t k) const { return shape.empty() ? 0 : stride[k].back(); }
 };
 
-BcastPlan MakeBcastPlan(const Tensor& a, const Tensor& b) {
-  BcastPlan plan;
-  if (SameShape(a, b)) {
-    plan.out_shape = a.shape();
-    plan.same = true;
-    return plan;
-  }
-  plan.out_shape = internal::BroadcastShape(a.shape(), b.shape());
-  size_t nd = plan.out_shape.size();
-  auto expand = [&](const std::vector<int64_t>& shape) {
-    std::vector<int64_t> strides = RowMajorStrides(shape);
-    std::vector<int64_t> out(nd, 0);
-    size_t offset = nd - shape.size();
-    for (size_t i = 0; i < shape.size(); ++i) {
-      out[offset + i] = (shape[i] == 1) ? 0 : strides[i];
+template <size_t K>
+StridedWalk<K> MakeWalk(const std::vector<int64_t>& shape,
+                        const std::array<std::vector<int64_t>, K>& stride) {
+  StridedWalk<K> w;
+  for (size_t d = 0; d < shape.size(); ++d) {
+    if (shape[d] == 1) continue;
+    bool merge = !w.shape.empty();
+    for (size_t k = 0; k < K && merge; ++k) {
+      merge = w.stride[k].back() == stride[k][d] * shape[d];
     }
-    return out;
-  };
-  plan.a_stride = expand(a.shape());
-  plan.b_stride = expand(b.shape());
-  return plan;
+    if (merge) {
+      w.shape.back() *= shape[d];
+    } else {
+      w.shape.push_back(shape[d]);
+      for (size_t k = 0; k < K; ++k) w.stride[k].push_back(0);
+    }
+    for (size_t k = 0; k < K; ++k) w.stride[k].back() = stride[k][d];
+  }
+  return w;
+}
+
+/// Calls run(flat, off, len) once per innermost run, in row-major order:
+/// `flat` is the run's first row-major index, off[k] operand k's element
+/// offset there, and operand k advances by w.step(k) over the `len` elements.
+template <size_t K, typename RunFn>
+void ForEachRun(const StridedWalk<K>& w, RunFn run) {
+  std::array<int64_t, K> off{};
+  if (w.shape.empty()) {  // rank 0, or only size-1 dims: a single element
+    run(int64_t{0}, off, int64_t{1});
+    return;
+  }
+  const size_t outer = w.shape.size() - 1;
+  const int64_t len = w.shape.back();
+  const int64_t n = ShapeNumel(w.shape);
+  std::vector<int64_t> idx(outer, 0);
+  for (int64_t flat = 0; flat < n; flat += len) {
+    run(flat, off, len);
+    for (size_t d = outer; d-- > 0;) {
+      if (++idx[d] < w.shape[d]) {
+        for (size_t k = 0; k < K; ++k) off[k] += w.stride[k][d];
+        break;
+      }
+      idx[d] = 0;
+      for (size_t k = 0; k < K; ++k) off[k] -= w.stride[k][d] * (w.shape[d] - 1);
+    }
+  }
+}
+
+/// Calls body(step) with a step of 0 or 1 passed as a compile-time constant,
+/// so the run loop inside `body` vectorizes for contiguous and broadcast
+/// operands; any other step is passed as is.
+template <typename Body>
+void WithStep(int64_t step, Body body) {
+  if (step == 1) {
+    body(std::integral_constant<int64_t, 1>{});
+  } else if (step == 0) {
+    body(std::integral_constant<int64_t, 0>{});
+  } else {
+    body(step);
+  }
+}
+
+template <typename Body>
+void WithSteps(int64_t sa, int64_t sb, Body body) {
+  WithStep(sa, [&](auto ka) { WithStep(sb, [&](auto kb) { body(ka, kb); }); });
+}
+
+/// Element strides of `shape` right-aligned against an `nd`-dim broadcast
+/// shape: row-major on real dims, 0 on size-1 and missing leading dims.
+std::vector<int64_t> BroadcastStrides(const std::vector<int64_t>& shape, size_t nd) {
+  std::vector<int64_t> strides = RowMajorStrides(shape);
+  std::vector<int64_t> out(nd, 0);
+  size_t offset = nd - shape.size();
+  for (size_t i = 0; i < shape.size(); ++i) {
+    out[offset + i] = (shape[i] == 1) ? 0 : strides[i];
+  }
+  return out;
+}
+
+std::vector<int64_t> BroadcastResult(const Tensor& a, const Tensor& b) {
+  return SameShape(a, b) ? a.shape()
+                         : internal::BroadcastShape(a.shape(), b.shape());
 }
 
 /// Generic broadcasting binary op. `fwd(av,bv)` computes the value;
@@ -50,66 +127,48 @@ BcastPlan MakeBcastPlan(const Tensor& a, const Tensor& b) {
 template <typename F, typename DA, typename DB>
 Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b, F fwd, DA dfa,
                 DB dfb) {
-  BcastPlan plan = MakeBcastPlan(a, b);
-  Tensor out = Tensor::Empty(plan.out_shape);
+  std::vector<int64_t> out_shape = BroadcastResult(a, b);
+  const size_t nd = out_shape.size();
+  StridedWalk<2> walk = MakeWalk<2>(
+      out_shape, {BroadcastStrides(a.shape(), nd), BroadcastStrides(b.shape(), nd)});
+  Tensor out = Tensor::Empty(out_shape);
   const float* ap = a.data();
   const float* bp = b.data();
   float* op = out.data();
-  int64_t n = out.numel();
-  if (plan.same) {
-    for (int64_t i = 0; i < n; ++i) op[i] = fwd(ap[i], bp[i]);
-  } else {
-    size_t nd = plan.out_shape.size();
-    std::vector<int64_t> idx(nd, 0);
-    for (int64_t flat = 0; flat < n; ++flat) {
-      int64_t ai = 0, bi = 0;
-      for (size_t d = 0; d < nd; ++d) {
-        ai += idx[d] * plan.a_stride[d];
-        bi += idx[d] * plan.b_stride[d];
-      }
-      op[flat] = fwd(ap[ai], bp[bi]);
-      for (int64_t d = static_cast<int64_t>(nd) - 1; d >= 0; --d) {
-        if (++idx[d] < plan.out_shape[d]) break;
-        idx[d] = 0;
-      }
-    }
-  }
+  WithSteps(walk.step(0), walk.step(1), [&](auto sa, auto sb) {
+    ForEachRun(walk, [&](int64_t flat, const std::array<int64_t, 2>& off, int64_t len) {
+      const float* ar = ap + off[0];
+      const float* br = bp + off[1];
+      float* orun = op + flat;
+      for (int64_t i = 0; i < len; ++i) orun[i] = fwd(ar[i * sa], br[i * sb]);
+    });
+  });
   Tensor a_cap = a, b_cap = b;
-  AttachNode(&out, name, {a, b}, [a_cap, b_cap, plan, dfa, dfb](const Tensor& o) {
+  AttachNode(&out, name, {a, b}, [a_cap, b_cap, walk, dfa, dfb](const Tensor& o) {
     Tensor a = a_cap, b = b_cap;
     const float* gout = o.grad_vec().data();
     const float* ap = a.data();
     const float* bp = b.data();
-    int64_t n = o.numel();
-    if (plan.same) {
-      if (NeedsGrad(a)) {
-        float* ga = a.grad();
-        for (int64_t i = 0; i < n; ++i) ga[i] += gout[i] * dfa(ap[i], bp[i]);
-      }
-      if (NeedsGrad(b)) {
-        float* gb = b.grad();
-        for (int64_t i = 0; i < n; ++i) gb[i] += gout[i] * dfb(ap[i], bp[i]);
-      }
-      return;
-    }
-    size_t nd = plan.out_shape.size();
-    bool need_a = NeedsGrad(a), need_b = NeedsGrad(b);
-    float* ga = need_a ? a.grad() : nullptr;
-    float* gb = need_b ? b.grad() : nullptr;
-    std::vector<int64_t> idx(nd, 0);
-    for (int64_t flat = 0; flat < n; ++flat) {
-      int64_t ai = 0, bi = 0;
-      for (size_t d = 0; d < nd; ++d) {
-        ai += idx[d] * plan.a_stride[d];
-        bi += idx[d] * plan.b_stride[d];
-      }
-      if (need_a) ga[ai] += gout[flat] * dfa(ap[ai], bp[bi]);
-      if (need_b) gb[bi] += gout[flat] * dfb(ap[ai], bp[bi]);
-      for (int64_t d = static_cast<int64_t>(nd) - 1; d >= 0; --d) {
-        if (++idx[d] < plan.out_shape[d]) break;
-        idx[d] = 0;
-      }
-    }
+    // One pass per input. The two gradient buffers differ unless a and b
+    // are one tensor, and then nothing broadcasts, so every element still
+    // accumulates in the forward walk's order.
+    WithSteps(walk.step(0), walk.step(1), [&](auto sa, auto sb) {
+      // Accumulates into operand k's gradient, which steps by `sg`.
+      auto pass = [&](float* grad, size_t k, auto sg, auto df) {
+        ForEachRun(walk, [&](int64_t flat, const std::array<int64_t, 2>& off,
+                             int64_t len) {
+          float* g = grad + off[k];
+          const float* ar = ap + off[0];
+          const float* br = bp + off[1];
+          const float* go = gout + flat;
+          for (int64_t i = 0; i < len; ++i) {
+            g[i * sg] += go[i] * df(ar[i * sa], br[i * sb]);
+          }
+        });
+      };
+      if (NeedsGrad(a)) pass(a.grad(), 0, sa, dfa);
+      if (NeedsGrad(b)) pass(b.grad(), 1, sb, dfb);
+    });
   });
   return out;
 }
@@ -243,19 +302,20 @@ Tensor Relu(const Tensor& a) {
 }
 
 Tensor Gelu(const Tensor& a) {
-  // tanh approximation: 0.5*x*(1+tanh(sqrt(2/pi)*(x+0.044715 x^3))).
+  // tanh approximation: 0.5*x*(1+tanh(sqrt(2/pi)*(x+0.044715 x^3))), with
+  // tanh itself the branch-free rational fit, so the loops vectorize.
   constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
   constexpr float kA = 0.044715f;
   return UnaryOp(
       "gelu", a,
       [](float x) {
         float inner = kC * (x + kA * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
+        return 0.5f * x * (1.0f + internal::TanhApprox(inner));
       },
       [](float x, float) {
         float x3 = x * x * x;
         float inner = kC * (x + kA * x3);
-        float t = std::tanh(inner);
+        float t = internal::TanhApprox(inner);
         float dinner = kC * (1.0f + 3.0f * kA * x * x);
         return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
       });
@@ -334,41 +394,35 @@ Tensor Permute(const Tensor& a, std::vector<int64_t> perm) {
   std::vector<int64_t> out_shape(perm.size());
   for (size_t i = 0; i < perm.size(); ++i) out_shape[i] = a.size(perm[i]);
   Tensor out = Tensor::Empty(out_shape);
-  size_t nd = perm.size();
   std::vector<int64_t> in_stride = RowMajorStrides(a.shape());
-  std::vector<int64_t> mapped(nd);  // stride of out-dim d within input
-  for (size_t d = 0; d < nd; ++d) mapped[d] = in_stride[static_cast<size_t>(perm[d])];
+  std::vector<int64_t> mapped(perm.size());  // stride of out-dim d within input
+  for (size_t d = 0; d < perm.size(); ++d) {
+    mapped[d] = in_stride[static_cast<size_t>(perm[d])];
+  }
+  StridedWalk<1> walk = MakeWalk<1>(out_shape, {mapped});
   const float* ap = a.data();
   float* op = out.data();
-  int64_t n = a.numel();
-  std::vector<int64_t> idx(nd, 0);
-  for (int64_t flat = 0; flat < n; ++flat) {
-    int64_t ai = 0;
-    for (size_t d = 0; d < nd; ++d) ai += idx[d] * mapped[d];
-    op[flat] = ap[ai];
-    for (int64_t d = static_cast<int64_t>(nd) - 1; d >= 0; --d) {
-      if (++idx[d] < out_shape[d]) break;
-      idx[d] = 0;
-    }
-  }
+  WithStep(walk.step(0), [&](auto s) {
+    ForEachRun(walk, [&](int64_t flat, const std::array<int64_t, 1>& off, int64_t len) {
+      const float* ar = ap + off[0];
+      float* orun = op + flat;
+      for (int64_t i = 0; i < len; ++i) orun[i] = ar[i * s];
+    });
+  });
   Tensor a_cap = a;
-  AttachNode(&out, "permute", {a},
-             [a_cap, mapped, out_shape, nd](const Tensor& o) {
-               Tensor a = a_cap;
-               float* ga = a.grad();
-               const float* gout = o.grad_vec().data();
-               int64_t n = o.numel();
-               std::vector<int64_t> idx(nd, 0);
-               for (int64_t flat = 0; flat < n; ++flat) {
-                 int64_t ai = 0;
-                 for (size_t d = 0; d < nd; ++d) ai += idx[d] * mapped[d];
-                 ga[ai] += gout[flat];
-                 for (int64_t d = static_cast<int64_t>(nd) - 1; d >= 0; --d) {
-                   if (++idx[d] < out_shape[d]) break;
-                   idx[d] = 0;
-                 }
-               }
-             });
+  AttachNode(&out, "permute", {a}, [a_cap, walk](const Tensor& o) {
+    Tensor a = a_cap;
+    float* ga = a.grad();
+    const float* gout = o.grad_vec().data();
+    WithStep(walk.step(0), [&](auto s) {
+      ForEachRun(walk, [&](int64_t flat, const std::array<int64_t, 1>& off,
+                           int64_t len) {
+        float* g = ga + off[0];
+        const float* go = gout + flat;
+        for (int64_t i = 0; i < len; ++i) g[i * s] += go[i];
+      });
+    });
+  });
   return out;
 }
 
@@ -577,28 +631,21 @@ Tensor MseLoss(const Tensor& pred, const Tensor& target) {
 Tensor& AddInPlace_(Tensor& a, const Tensor& b) {
   DOT_CHECK(!GradModeEnabled())
       << "AddInPlace_ while autograd is recording (wrap in NoGradGuard)";
-  BcastPlan plan = MakeBcastPlan(a, b);
-  DOT_CHECK(plan.out_shape == a.shape())
+  std::vector<int64_t> out_shape = BroadcastResult(a, b);
+  DOT_CHECK(out_shape == a.shape())
       << "AddInPlace_: broadcasting " << b.ShapeString()
       << " would change the target shape " << a.ShapeString();
+  StridedWalk<1> walk =
+      MakeWalk<1>(out_shape, {BroadcastStrides(b.shape(), out_shape.size())});
   float* ap = a.data();
   const float* bp = b.data();
-  int64_t n = a.numel();
-  if (plan.same) {
-    for (int64_t i = 0; i < n; ++i) ap[i] += bp[i];
-  } else {
-    size_t nd = plan.out_shape.size();
-    std::vector<int64_t> idx(nd, 0);
-    for (int64_t flat = 0; flat < n; ++flat) {
-      int64_t bi = 0;
-      for (size_t d = 0; d < nd; ++d) bi += idx[d] * plan.b_stride[d];
-      ap[flat] += bp[bi];
-      for (int64_t d = static_cast<int64_t>(nd) - 1; d >= 0; --d) {
-        if (++idx[d] < plan.out_shape[d]) break;
-        idx[d] = 0;
-      }
-    }
-  }
+  WithStep(walk.step(0), [&](auto sb) {
+    ForEachRun(walk, [&](int64_t flat, const std::array<int64_t, 1>& off, int64_t len) {
+      float* ar = ap + flat;
+      const float* br = bp + off[0];
+      for (int64_t i = 0; i < len; ++i) ar[i] += br[i * sb];
+    });
+  });
   return a;
 }
 

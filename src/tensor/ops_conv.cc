@@ -48,25 +48,62 @@ int64_t ChunkFor(int64_t per_item) {
   return std::max<int64_t>(1, kMinParallelElems / std::max<int64_t>(1, per_item));
 }
 
+/// Output positions [lo, hi) along one axis whose input index
+/// o * stride + k - pad falls inside [0, in) for kernel offset k.
+struct ValidSpan {
+  int64_t lo, hi;
+};
+
+ValidSpan ValidOutputs(int64_t k, int64_t pad, int64_t stride, int64_t in,
+                       int64_t out) {
+  int64_t lo = pad > k ? (pad - k + stride - 1) / stride : 0;
+  int64_t last = in - 1 + pad - k;  // largest o * stride that stays inside
+  int64_t hi = last < 0 ? 0 : last / stride + 1;
+  lo = std::min(lo, out);
+  return {lo, std::clamp(hi, lo, out)};
+}
+
 /// Expands one (sample, channel) plane into the batch column buffer: row r
-/// of the patch matrix lands at col + r * row_stride + col_offset.
+/// of the patch matrix lands at col + r * row_stride + col_offset. For each
+/// (kh, kw) the padding rows and columns are zero-filled and the valid block
+/// is copied: as one shifted contiguous run of the plane when stride is 1 and
+/// the output is as wide as the input (a "same" conv: output row oh reads
+/// input row oh + kh - pad at one fixed column shift), else row by row.
 void Im2ColChannel(const float* xc, const ConvDims& d, int64_t c, float* col,
                    int64_t row_stride, int64_t col_offset) {
+  const bool shifted_plane = d.stride == 1 && d.ow == d.w;
   for (int64_t kh = 0; kh < d.kh; ++kh) {
+    const ValidSpan rows = ValidOutputs(kh, d.pad, d.stride, d.h, d.oh);
     for (int64_t kw = 0; kw < d.kw; ++kw) {
+      const ValidSpan cols = ValidOutputs(kw, d.pad, d.stride, d.w, d.ow);
       float* crow = col + ((c * d.kh + kh) * d.kw + kw) * row_stride + col_offset;
-      for (int64_t oh = 0; oh < d.oh; ++oh) {
-        int64_t ih = oh * d.stride + kh - d.pad;
+      std::fill(crow, crow + rows.lo * d.ow, 0.0f);
+      std::fill(crow + rows.hi * d.ow, crow + d.oh * d.ow, 0.0f);
+      if (rows.lo == rows.hi) continue;
+      const int64_t n = cols.hi - cols.lo;
+      if (n > 0 && shifted_plane) {
+        // Copies from the first valid element to the last; the pad columns
+        // in between pick up neighbouring input rows and are re-zeroed below.
+        const int64_t shift = (kh - d.pad) * d.w + (kw - d.pad);
+        const int64_t first = rows.lo * d.ow + cols.lo;
+        const int64_t last = (rows.hi - 1) * d.ow + cols.hi;
+        std::copy(xc + first + shift, xc + last + shift, crow + first);
+      } else if (n > 0) {
+        for (int64_t oh = rows.lo; oh < rows.hi; ++oh) {
+          const float* src = xc + (oh * d.stride + kh - d.pad) * d.w +
+                             cols.lo * d.stride + kw - d.pad;
+          float* dst = crow + oh * d.ow + cols.lo;
+          if (d.stride == 1) {
+            std::copy(src, src + n, dst);
+          } else {
+            for (int64_t i = 0; i < n; ++i) dst[i] = src[i * d.stride];
+          }
+        }
+      }
+      for (int64_t oh = rows.lo; oh < rows.hi; ++oh) {
         float* dst = crow + oh * d.ow;
-        if (ih < 0 || ih >= d.h) {
-          std::fill(dst, dst + d.ow, 0.0f);
-          continue;
-        }
-        const float* src = xc + ih * d.w;
-        for (int64_t ow = 0; ow < d.ow; ++ow) {
-          int64_t iw = ow * d.stride + kw - d.pad;
-          dst[ow] = (iw >= 0 && iw < d.w) ? src[iw] : 0.0f;
-        }
+        std::fill(dst, dst + cols.lo, 0.0f);
+        std::fill(dst + cols.hi, dst + d.ow, 0.0f);
       }
     }
   }

@@ -76,6 +76,10 @@ const Shape kFixedShapes[] = {
     {301, 7, 3},
     {3, 9, 517},
     {2, 300, 2},
+    // NC boundary: a second column block, with m < MR and k < KC, and with
+    // m > MR and k > KC (pack buffers sized to the operands)
+    {3, 5, 2049},
+    {9, 257, 2085},
     // real call-site shapes (scaled-down conv / attention / FC)
     {16, 144, 1037},
     {29, 16, 29},

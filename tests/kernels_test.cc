@@ -2,6 +2,8 @@
 // reference implementation, plus broadcast-shape rules.
 
 #include <cstdlib>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -205,6 +207,75 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{1, 2, 2, 6, 5, 1, 2, 0, false},
                       ConvCase{2, 3, 2, 4, 4, 3, 1, 2, true},
                       ConvCase{3, 8, 8, 12, 12, 3, 1, 1, true}));
+
+// Conv2d's im2col copies each (kh, kw)'s valid block (one shifted plane for
+// a stride-1 conv as wide as its input, strided rows otherwise) and
+// zero-fills the padding. Fed through the same GEMM, the per-element,
+// bounds-checked gather it replaced must give the same output bitwise.
+TEST(Im2ColTest, ConvMatchesBoundsCheckedGatherBitwise) {
+  struct Plane {
+    int64_t h, w;
+  };
+  // H != W and odd sizes; at kernel 5, the 1x3 plane is narrower than the
+  // kernel, and the 2x2 plane at pad 1, stride 2 is narrower than it even
+  // padded (the output truncates to one pixel).
+  const Plane planes[] = {{5, 7}, {7, 4}, {9, 9}, {1, 3}, {2, 2}};
+  const int64_t n = 2, c = 3, oc = 4;
+  uint64_t seed = 40;
+  int checked = 0;
+  NoGradGuard guard;
+  for (int64_t stride : {1, 2}) {
+    for (int64_t pad : {0, 1, 2}) {
+      for (int64_t k : {1, 3, 5}) {
+        for (const Plane& p : planes) {
+          const int64_t oh = (p.h + 2 * pad - k) / stride + 1;
+          const int64_t ow = (p.w + 2 * pad - k) / stride + 1;
+          if (oh <= 0 || ow <= 0) continue;  // Conv2d rejects these
+          SCOPED_TRACE(::testing::Message()
+                       << p.h << "x" << p.w << " k" << k << " s" << stride
+                       << " p" << pad);
+          Rng rng(++seed);
+          Tensor x = Tensor::Rand({n, c, p.h, p.w}, &rng, -1.0f, 1.0f);
+          Tensor w = Tensor::Rand({oc, c, k, k}, &rng, -1.0f, 1.0f);
+          Tensor bias = Tensor::Rand({oc}, &rng, -1.0f, 1.0f);
+          const int64_t ohw = oh * ow, cols = n * ohw, ckk = c * k * k;
+          std::vector<float> col(static_cast<size_t>(ckk * cols));
+          for (int64_t b = 0; b < n; ++b) {
+            for (int64_t r = 0; r < ckk; ++r) {
+              const int64_t ci = r / (k * k), kh = r / k % k, kw = r % k;
+              for (int64_t y = 0; y < oh; ++y) {
+                for (int64_t xo = 0; xo < ow; ++xo) {
+                  const int64_t iy = y * stride + kh - pad;
+                  const int64_t ix = xo * stride + kw - pad;
+                  const bool inside = iy >= 0 && iy < p.h && ix >= 0 && ix < p.w;
+                  col[static_cast<size_t>(r * cols + b * ohw + y * ow + xo)] =
+                      inside ? x.at(((b * c + ci) * p.h + iy) * p.w + ix) : 0.0f;
+                }
+              }
+            }
+          }
+          std::vector<float> tmp(static_cast<size_t>(oc * cols));
+          internal::Gemm(w.data(), col.data(), tmp.data(), oc, ckk, cols, false);
+          std::vector<float> want(static_cast<size_t>(n * oc * ohw));
+          for (int64_t b = 0; b < n; ++b) {
+            for (int64_t o = 0; o < oc; ++o) {
+              for (int64_t j = 0; j < ohw; ++j) {
+                want[static_cast<size_t>((b * oc + o) * ohw + j)] =
+                    tmp[static_cast<size_t>(o * cols + b * ohw + j)] + bias.at(o);
+              }
+            }
+          }
+          Tensor got = Conv2d(x, w, bias, stride, pad);
+          ASSERT_EQ(got.numel(), static_cast<int64_t>(want.size()));
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+                    0);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 79);  // the grid minus the shapes Conv2d rejects
+}
 
 TEST(BroadcastShapeTest, Rules) {
   using internal::BroadcastShape;

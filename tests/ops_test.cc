@@ -3,12 +3,17 @@
 #include "tensor/ops.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "gradcheck.h"
 #include "tensor/gemm_kernel.h"
 #include "tensor/nn.h"
+#include "tensor/ops_internal.h"
 #include "tensor/tensor.h"
 
 namespace dot {
@@ -529,6 +534,273 @@ TEST(OpsGrad, MseLoss) {
   ExpectGradientsMatch({p, t}, [](const std::vector<Tensor>& in) {
     return MseLoss(in[0], in[1]);
   });
+}
+
+// ---- Strided-run walker: bitwise against a plain N-d index loop ---------------
+// The broadcasting binary ops, AddInPlace_ and Permute walk merged strided
+// runs. Each must produce exactly what a per-element N-d index loop over the
+// output produces, gradients included (same accumulation order).
+
+/// Calls fn(flat, idx) for every row-major index of `shape`.
+template <typename Fn>
+void ForEachIndex(const std::vector<int64_t>& shape, Fn fn) {
+  std::vector<int64_t> idx(shape.size(), 0);
+  for (int64_t flat = 0; flat < ShapeNumel(shape); ++flat) {
+    fn(flat, idx);
+    for (size_t d = shape.size(); d-- > 0;) {
+      if (++idx[d] < shape[d]) break;
+      idx[d] = 0;
+    }
+  }
+}
+
+/// Flat offset of broadcast index `idx` in a tensor of `shape`
+/// (right-aligned; size-1 dims contribute nothing).
+int64_t BroadcastOffset(const std::vector<int64_t>& shape,
+                        const std::vector<int64_t>& idx) {
+  int64_t off = 0;
+  size_t lead = idx.size() - shape.size();
+  for (size_t d = 0; d < shape.size(); ++d) {
+    off = off * shape[d] + (shape[d] == 1 ? 0 : idx[lead + d]);
+  }
+  return off;
+}
+
+void ExpectBitwise(const std::vector<float>& got, const std::vector<float>& want,
+                   const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
+        << what << " element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+// Ranks 0-4, size-1 dims leading, middle and trailing, scalar operands and
+// broadcasting on either side.
+const std::pair<std::vector<int64_t>, std::vector<int64_t>> kBroadcastPairs[] = {
+    {{}, {}},
+    {{}, {2, 3}},
+    {{1}, {4}},
+    {{5}, {5}},
+    {{2, 3}, {3}},
+    {{3}, {2, 3}},
+    {{2, 1}, {2, 3}},
+    {{3, 1}, {1, 4}},
+    {{1, 1, 1}, {2, 3, 4}},
+    {{2, 3, 4}, {2, 1, 4}},
+    {{4, 1, 3}, {1, 5, 1}},
+    {{2, 3, 4, 5}, {2, 3, 4, 5}},
+    {{2, 3, 4, 5}, {3, 1, 5}},
+    {{2, 3, 4, 5}, {2, 3, 1, 1}},
+    {{1, 3, 1, 5}, {2, 3, 4, 5}},
+    {{2, 1, 4, 1}, {1, 3, 1, 5}},
+    {{2, 3, 4, 1}, {1}},
+};
+
+/// Random signs times powers of two in [1/4, 2]. As the upstream gradient,
+/// it makes every product gout * d exact, so a gradient does not depend on
+/// whether the compiler fuses that product into the add (-ffp-contract
+/// decisions differ between the sanitizer and release builds); summation
+/// order still shows in every rounding of the sums.
+Tensor PowerOfTwoGrad(const std::vector<int64_t>& shape, uint64_t seed) {
+  Rng rng(seed);
+  Tensor g = Tensor::Empty(shape);
+  for (int64_t i = 0; i < g.numel(); ++i) {
+    const int exp = static_cast<int>(rng.Uniform(0, 4)) - 2;
+    g.at(i) = std::ldexp(rng.Bernoulli(0.5) ? -1.0f : 1.0f, exp);
+  }
+  return g;
+}
+
+/// Checks `op` over every broadcast pair, both operand orders, against the
+/// index loop. fwd/dfa/dfb are the expressions ops_basic.cc uses, so the
+/// loop computes each element exactly as the per-element walk did.
+template <typename Op, typename F, typename DA, typename DB>
+void CheckBinaryOp(const char* name, Op op, F fwd, DA dfa, DB dfb) {
+  uint64_t seed = 500;
+  for (const auto& [sa, sb] : kBroadcastPairs) {
+    for (int swap = 0; swap < 2; ++swap) {
+      const std::vector<int64_t>& ashape = swap ? sb : sa;
+      const std::vector<int64_t>& bshape = swap ? sa : sb;
+      std::string what = std::string(name) + " " +
+                         ::testing::PrintToString(ashape) + " x " +
+                         ::testing::PrintToString(bshape);
+      Tensor a = SmallRand(ashape, ++seed, 0.5f, 2.0f).set_requires_grad(true);
+      Tensor b = SmallRand(bshape, ++seed, 0.5f, 2.0f).set_requires_grad(true);
+      std::vector<int64_t> oshape = internal::BroadcastShape(ashape, bshape);
+      Tensor gout = PowerOfTwoGrad(oshape, ++seed);
+      std::vector<float> want(static_cast<size_t>(ShapeNumel(oshape)));
+      std::vector<float> want_ga(static_cast<size_t>(a.numel()), 0.0f);
+      std::vector<float> want_gb(static_cast<size_t>(b.numel()), 0.0f);
+      ForEachIndex(oshape, [&](int64_t flat, const std::vector<int64_t>& idx) {
+        const size_t ai = static_cast<size_t>(BroadcastOffset(ashape, idx));
+        const size_t bi = static_cast<size_t>(BroadcastOffset(bshape, idx));
+        const float av = a.data()[ai], bv = b.data()[bi], g = gout.at(flat);
+        want[static_cast<size_t>(flat)] = fwd(av, bv);
+        want_ga[ai] += g * dfa(av, bv);
+        want_gb[bi] += g * dfb(av, bv);
+      });
+      Tensor out = op(a, b);
+      ASSERT_EQ(out.shape(), oshape) << what;
+      ExpectBitwise(out.ToVector(), want, what + " forward");
+      // d(sum(out * gout))/d(out) is exactly gout.
+      Sum(Mul(out, gout)).Backward();
+      ExpectBitwise(a.grad_vec(), want_ga, what + " grad a");
+      ExpectBitwise(b.grad_vec(), want_gb, what + " grad b");
+    }
+  }
+}
+
+TEST(StridedWalk, BinaryOpsMatchIndexLoopBitwise) {
+  CheckBinaryOp(
+      "add", Add, [](float x, float y) { return x + y; },
+      [](float, float) { return 1.0f; }, [](float, float) { return 1.0f; });
+  CheckBinaryOp(
+      "sub", Sub, [](float x, float y) { return x - y; },
+      [](float, float) { return 1.0f; }, [](float, float) { return -1.0f; });
+  CheckBinaryOp(
+      "mul", Mul, [](float x, float y) { return x * y; },
+      [](float, float y) { return y; }, [](float x, float) { return x; });
+  CheckBinaryOp(
+      "div", Div, [](float x, float y) { return x / y; },
+      [](float, float y) { return 1.0f / y; },
+      [](float x, float y) { return -x / (y * y); });
+}
+
+TEST(StridedWalk, AddInPlaceMatchesIndexLoopBitwise) {
+  NoGradGuard guard;
+  uint64_t seed = 700;
+  for (const auto& [sa, sb] : kBroadcastPairs) {
+    for (int swap = 0; swap < 2; ++swap) {
+      const std::vector<int64_t>& ashape = swap ? sb : sa;
+      const std::vector<int64_t>& bshape = swap ? sa : sb;
+      if (internal::BroadcastShape(ashape, bshape) != ashape) continue;
+      Tensor a = SmallRand(ashape, ++seed);
+      Tensor b = SmallRand(bshape, ++seed);
+      std::vector<float> want = a.ToVector();
+      ForEachIndex(ashape, [&](int64_t flat, const std::vector<int64_t>& idx) {
+        want[static_cast<size_t>(flat)] += b.at(BroadcastOffset(bshape, idx));
+      });
+      AddInPlace_(a, b);
+      ExpectBitwise(a.ToVector(), want,
+                    ::testing::PrintToString(ashape) + " += " +
+                        ::testing::PrintToString(bshape));
+    }
+  }
+}
+
+TEST(StridedWalk, PermuteMatchesIndexLoopBitwise) {
+  // Identity, reverse and middle permutations, with size-1 dims.
+  const std::pair<std::vector<int64_t>, std::vector<int64_t>> cases[] = {
+      {{}, {}},
+      {{5}, {0}},
+      {{3, 4}, {1, 0}},
+      {{3, 1}, {1, 0}},
+      {{2, 3, 4}, {0, 1, 2}},
+      {{2, 3, 4}, {2, 1, 0}},
+      {{2, 3, 4}, {0, 2, 1}},
+      {{2, 3, 4}, {1, 0, 2}},
+      {{2, 3, 4, 5}, {0, 2, 1, 3}},
+      {{2, 3, 4, 5}, {3, 2, 1, 0}},
+      {{2, 3, 4, 5}, {0, 1, 3, 2}},
+      {{1, 4, 1, 3}, {2, 0, 3, 1}},
+      {{2, 1, 3, 1}, {0, 3, 2, 1}},
+  };
+  uint64_t seed = 900;
+  for (const auto& [shape, perm] : cases) {
+    std::string what = ::testing::PrintToString(shape) + " by " +
+                       ::testing::PrintToString(perm);
+    Tensor a = SmallRand(shape, ++seed).set_requires_grad(true);
+    std::vector<int64_t> oshape(perm.size());
+    for (size_t d = 0; d < perm.size(); ++d) {
+      oshape[d] = shape[static_cast<size_t>(perm[d])];
+    }
+    Tensor gout = SmallRand(oshape, ++seed);
+    std::vector<float> want(static_cast<size_t>(a.numel()));
+    std::vector<float> want_ga(static_cast<size_t>(a.numel()), 0.0f);
+    ForEachIndex(oshape, [&](int64_t flat, const std::vector<int64_t>& idx) {
+      std::vector<int64_t> in_idx(shape.size());
+      for (size_t d = 0; d < perm.size(); ++d) {
+        in_idx[static_cast<size_t>(perm[d])] = idx[d];
+      }
+      int64_t ai = 0;
+      for (size_t d = 0; d < shape.size(); ++d) ai = ai * shape[d] + in_idx[d];
+      want[static_cast<size_t>(flat)] = a.at(ai);
+      want_ga[static_cast<size_t>(ai)] += gout.at(flat);
+    });
+    Tensor out = Permute(a, perm);
+    ASSERT_EQ(out.shape(), oshape) << what;
+    ExpectBitwise(out.ToVector(), want, what + " forward");
+    Sum(Mul(out, gout)).Backward();
+    ExpectBitwise(a.grad_vec(), want_ga, what + " grad");
+  }
+}
+
+// ---- GELU's rational tanh -----------------------------------------------------
+
+float GeluWithStdTanh(float x) {
+  constexpr float kC = 0.7978845608028654f;
+  constexpr float kA = 0.044715f;
+  return 0.5f * x * (1.0f + std::tanh(kC * (x + kA * x * x * x)));
+}
+
+TEST(GeluTanh, WithinBoundOfTanhAcrossEveryBinade) {
+  // A fixed stride through the positive float bit patterns visits every
+  // binade (each holds 2^23 patterns); both signs of each are checked.
+  double worst = 0;
+  float worst_x = 0;
+  for (uint64_t bits = 0; bits <= 0x7F800000u; bits += 4099) {
+    const uint32_t u = static_cast<uint32_t>(bits);
+    float x;
+    std::memcpy(&x, &u, sizeof(x));
+    for (float v : {x, -x}) {
+      double err = std::fabs(static_cast<double>(internal::TanhApprox(v)) -
+                             std::tanh(static_cast<double>(v)));
+      if (err > worst) {
+        worst = err;
+        worst_x = v;
+      }
+    }
+  }
+  EXPECT_LE(worst, 5e-7) << "at x = " << worst_x;
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(internal::TanhApprox(inf), 1.0f);
+  EXPECT_EQ(internal::TanhApprox(-inf), -1.0f);
+  EXPECT_EQ(internal::TanhApprox(8.0f), 1.0f);
+  EXPECT_TRUE(std::isnan(internal::TanhApprox(std::nanf(""))));
+}
+
+TEST(GeluTanh, EachElementMatchesItsLoneEvaluationBitwise) {
+  // 1037 is no multiple of any vector width: elements land in the vector
+  // body and in the scalar tail, and must equal a one-element evaluation.
+  const int64_t n = 1037;
+  Tensor x = SmallRand({n}, 77, -10.0f, 10.0f).set_requires_grad(true);
+  Tensor y = Gelu(x);
+  Sum(y).Backward();
+  for (int64_t i = 0; i < n; ++i) {
+    Tensor xi = Tensor::FromVector({1}, {x.at(i)}).set_requires_grad(true);
+    Tensor yi = Gelu(xi);
+    Sum(yi).Backward();
+    float got = y.at(i), want = yi.at(0);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0) << "element " << i;
+    float g = x.grad_vec()[static_cast<size_t>(i)], gw = xi.grad_vec()[0];
+    ASSERT_EQ(std::memcmp(&g, &gw, sizeof(float)), 0) << "grad element " << i;
+  }
+}
+
+TEST(GeluTanh, NonFiniteInputsMatchTheStdTanhFormula) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> in = {std::nanf(""), inf, -inf, 1e30f, -1e30f};
+  Tensor y = Gelu(Tensor::FromVector({static_cast<int64_t>(in.size())}, in));
+  for (size_t i = 0; i < in.size(); ++i) {
+    float want = GeluWithStdTanh(in[i]);
+    float got = y.at(static_cast<int64_t>(i));
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << "input " << in[i];
+    } else {
+      EXPECT_EQ(got, want) << "input " << in[i];
+    }
+  }
 }
 
 // ---- Gradchecks under the blocked / SIMD GEMM kernels -------------------------

@@ -189,14 +189,34 @@ TEST(BatcherPolicyTest, StaleQueueHeadRejectsNewArrivals) {
   StubBackend backend;
   DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
   auto ignore = [](const Result<DotEstimate>&) {};
-  ASSERT_TRUE(batcher.Submit(MakeOdt(0), 0, ignore).ok());
+  for (int i = 0; i < 4; ++i) {  // a full wave (max_batch) queued
+    ASSERT_TRUE(batcher.Submit(MakeOdt(i), 0, ignore).ok());
+  }
   clock.ms += 51.0;  // past queue_budget_ms: the backend is clearly behind
-  Status rejected = batcher.Submit(MakeOdt(1), 0, ignore);
+  Status rejected = batcher.Submit(MakeOdt(4), 0, ignore);
   EXPECT_TRUE(rejected.IsResourceExhausted()) << rejected;
   EXPECT_EQ(batcher.stats().rejected_stale, 1);
-  // The queued request itself is still answered.
-  EXPECT_EQ(batcher.PumpOnce(), 1);
-  EXPECT_EQ(batcher.stats().completed, 1);
+  // The queued requests themselves are still answered.
+  EXPECT_EQ(batcher.PumpOnce(), 4);
+  EXPECT_EQ(batcher.stats().completed, 4);
+}
+
+TEST(BatcherPolicyTest, ArrivalThatFitsTheNextWaveIsAdmittedBehindAStaleHead) {
+  // A short age-flushed wave can leave a request queued while the backend
+  // runs it; by the time the other callers re-submit, that request is past
+  // the budget. The re-submissions still fit in the next wave, so they are
+  // not behind and must not be shed.
+  FakeClock clock;
+  StubBackend backend;
+  DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
+  auto ignore = [](const Result<DotEstimate>&) {};
+  ASSERT_TRUE(batcher.Submit(MakeOdt(0), 0, ignore).ok());
+  clock.ms += 51.0;  // the lone queued request is now stale
+  Status admitted = batcher.Submit(MakeOdt(1), 0, ignore);
+  EXPECT_TRUE(admitted.ok()) << admitted;
+  EXPECT_EQ(batcher.stats().rejected_stale, 0);
+  EXPECT_EQ(batcher.PumpOnce(), 2);
+  EXPECT_EQ(batcher.stats().completed, 2);
 }
 
 TEST(BatcherPolicyTest, ShutdownDrainsEverythingThenRefuses) {

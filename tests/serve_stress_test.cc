@@ -195,6 +195,15 @@ TEST(ServeStressTest, GracefulDrainAnswersInFlightRequests) {
   for (int i = 0; i < kInFlight; ++i) {
     ASSERT_TRUE(client.SendQuery(i, MakeOdt(i)).ok());
   }
+  // Wait until the IO thread has admitted at least one query: a Shutdown
+  // that wins the race would drain an empty batcher and test nothing.
+  const auto admit_limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.batcher_stats().submitted < 1 &&
+         std::chrono::steady_clock::now() < admit_limit) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(server.batcher_stats().submitted, 1);
   // Shut down while (most of) those are still queued. Drain must answer
   // every admitted request and flush the responses before sockets close.
   std::thread shutdown_thread([&] { server.Shutdown(); });
