@@ -13,12 +13,15 @@
 //      typed backpressure + degradation ladder must answer),
 //   3. a `swap` phase: open loop at 0.5x capacity while every shard
 //      hot-swaps its model mid-phase — the zero-downtime claim measured
-//      (zero errors required; p99 should stay within 2x of steady state).
+//      (zero errors required; p99 should stay within 2x of steady state),
+//   4. a `sparse_miss` phase: open loop at a low fixed rate of fresh trips
+//      drawn uniformly over the grid and the day, so nearly every query
+//      misses the cache and most reach an idle server alone.
 //
-// Results (throughput, p50/p95/p99 latency, wave-size distribution,
-// degradation mix, rejection counts) go to stdout and as JSON to
-// $DOT_BENCH_SERVING_LOAD_JSON (default BENCH_serving.json; run_benches.sh
-// exports it).
+// Results (throughput, p50/p95/p99 latency, cache-hit share, wave-size
+// distribution, degradation mix, rejection counts) go to stdout and as
+// JSON to $DOT_BENCH_SERVING_LOAD_JSON (default BENCH_serving.json;
+// run_benches.sh exports it).
 //
 // `--client-smoke --port N [--queries K]` turns the binary into a tiny
 // external client used by scripts/check.sh: it pings a *running* dot_server
@@ -45,6 +48,7 @@
 #include <unistd.h>
 
 #include "core/shard.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/demo.h"
 #include "serve/router.h"
@@ -63,6 +67,7 @@ double NowMs() {
 }
 
 constexpr double kDeadlineMs = 250.0;  // client budget per query
+constexpr double kSparseMissQps = 20.0;  // sparse_miss phase arrival rate
 
 struct Percentiles {
   double mean = 0, p50 = 0, p95 = 0, p99 = 0;
@@ -120,6 +125,8 @@ struct PhaseResult {
   int64_t waves = 0;
   int64_t size_flushes = 0, age_flushes = 0, drain_flushes = 0;
   int64_t completed = 0;
+  // Service cache deltas over the phase (all shards).
+  int64_t service_queries = 0, cache_hits = 0;
 
   double achieved_qps() const {
     return duration_s > 0 ? static_cast<double>(ok) / duration_s : 0;
@@ -128,6 +135,11 @@ struct PhaseResult {
     return waves > 0 ? static_cast<double>(completed) /
                            static_cast<double>(waves)
                      : 0;
+  }
+  double hit_share() const {
+    return service_queries > 0 ? static_cast<double>(cache_hits) /
+                                     static_cast<double>(service_queries)
+                               : 0;
   }
 };
 
@@ -166,12 +178,34 @@ BatcherStats Delta(const BatcherStats& now, const BatcherStats& then) {
   return d;
 }
 
-void FillBatcherDelta(const BatcherStats& d, PhaseResult* out) {
+/// Batcher stats and the process-wide service cache counters, read at a
+/// phase boundary.
+struct ServingCounters {
+  BatcherStats batcher;
+  int64_t service_queries = 0;
+  int64_t cache_hits = 0;
+};
+
+ServingCounters ReadCounters(Server* server) {
+  auto& reg = obs::MetricsRegistry::Get();
+  ServingCounters c;
+  c.batcher = server->batcher_stats();
+  c.service_queries = reg.GetCounter("dot_service_queries_total")->Value();
+  c.cache_hits = reg.GetCounter("dot_service_cache_hits_total")->Value();
+  return c;
+}
+
+void FillDelta(const ServingCounters& then, Server* server,
+               PhaseResult* out) {
+  ServingCounters now = ReadCounters(server);
+  BatcherStats d = Delta(now.batcher, then.batcher);
   out->waves = d.waves;
   out->size_flushes = d.size_flushes;
   out->age_flushes = d.age_flushes;
   out->drain_flushes = d.drain_flushes;
   out->completed = d.completed;
+  out->service_queries = now.service_queries - then.service_queries;
+  out->cache_hits = now.cache_hits - then.cache_hits;
 }
 
 /// Closed loop: `threads` synchronous clients, each Call()ing back to back
@@ -181,7 +215,7 @@ PhaseResult RunClosedLoop(int port, const std::vector<OdtInput>& demand,
   PhaseResult result;
   result.name = "closed_loop";
   result.duration_s = duration_s;
-  BatcherStats before = server->batcher_stats();
+  ServingCounters before = ReadCounters(server);
   std::mutex mu;
   std::vector<double> latencies;
   BreakdownVecs breakdown;
@@ -224,7 +258,7 @@ PhaseResult RunClosedLoop(int port, const std::vector<OdtInput>& demand,
   for (auto& w : workers) w.join();
   result.latency_ms = ComputePercentiles(std::move(latencies));
   FillBreakdown(std::move(breakdown), &result);
-  FillBatcherDelta(Delta(server->batcher_stats(), before), &result);
+  FillDelta(before, server, &result);
   return result;
 }
 
@@ -239,7 +273,7 @@ PhaseResult RunOpenLoop(int port, const std::vector<OdtInput>& demand,
   result.name = "open_loop";
   result.target_qps = target_qps;
   result.duration_s = duration_s;
-  BatcherStats before = server->batcher_stats();
+  ServingCounters before = ReadCounters(server);
 
   struct ConnState {
     Client client;
@@ -352,8 +386,29 @@ PhaseResult RunOpenLoop(int port, const std::vector<OdtInput>& demand,
   }
   result.latency_ms = ComputePercentiles(std::move(latencies));
   FillBreakdown(std::move(breakdown), &result);
-  FillBatcherDelta(Delta(server->batcher_stats(), before), &result);
+  FillDelta(before, server, &result);
   return result;
+}
+
+/// `n` trips whose origin, destination and departure are uniform over the
+/// grid box and the demo trip window. The demo grid's 64 cells and the
+/// service's 48 time-of-day slots make about 200k cache buckets, so nearly
+/// every trip falls in one no earlier phase cached.
+std::vector<OdtInput> FreshTrips(const BoundingBox& box, size_t n,
+                                 uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> lng(box.min_lng, box.max_lng);
+  std::uniform_real_distribution<double> lat(box.min_lat, box.max_lat);
+  TripConfig tc = DemoTripConfig();
+  std::uniform_int_distribution<int64_t> when(
+      tc.start_unix, tc.start_unix + tc.num_days * 86400 - 1);
+  std::vector<OdtInput> trips(n);
+  for (OdtInput& odt : trips) {
+    odt.origin = {lng(rng), lat(rng)};
+    odt.destination = {lng(rng), lat(rng)};
+    odt.departure_time = when(rng);
+  }
+  return trips;
 }
 
 std::string QualityJson(const PhaseResult& r) {
@@ -389,7 +444,8 @@ std::string PhaseJson(const PhaseResult& r) {
      << ", \"batch_wait\": " << PercentilesJson(r.bd_batch_wait_us)
      << ", \"stage1\": " << PercentilesJson(r.bd_stage1_us)
      << ", \"stage2\": " << PercentilesJson(r.bd_stage2_us) << "},\n"
-     << "     \"quality\": " << QualityJson(r) << ",\n"
+     << "     \"quality\": " << QualityJson(r)
+     << ", \"hit_share\": " << r.hit_share() << ",\n"
      << "     \"waves\": " << r.waves
      << ", \"mean_wave_size\": " << r.mean_wave()
      << ", \"flush_triggers\": {\"size\": " << r.size_flushes
@@ -401,12 +457,12 @@ std::string PhaseJson(const PhaseResult& r) {
 void PrintPhase(const PhaseResult& r) {
   std::printf(
       "%-12s target=%7.1f qps  ok=%6lld rej=%5lld err=%3lld  "
-      "qps=%7.1f  p50=%6.1fms p95=%6.1fms p99=%6.1fms  waves=%5lld "
-      "mean_wave=%.2f\n",
+      "qps=%7.1f  p50=%6.1fms p95=%6.1fms p99=%6.1fms  hit=%.2f  "
+      "waves=%5lld mean_wave=%.2f\n",
       r.name.c_str(), r.target_qps, static_cast<long long>(r.ok),
       static_cast<long long>(r.rejected), static_cast<long long>(r.errors),
       r.achieved_qps(), r.latency_ms.p50, r.latency_ms.p95, r.latency_ms.p99,
-      static_cast<long long>(r.waves), r.mean_wave());
+      r.hit_share(), static_cast<long long>(r.waves), r.mean_wave());
 }
 
 int RunClientSmoke(int port, int queries) {
@@ -585,6 +641,16 @@ int RunLoadBench() {
     versions_after.push_back(s.model_version);
   }
 
+  // Sparse misses: each query pays a stage-1 pass, and at this rate most
+  // arrive after the previous wave has finished, so the phase shows what a
+  // lone miss waits for companions.
+  std::vector<OdtInput> fresh = FreshTrips(world->grid->box(), 4096, seed++);
+  PhaseResult sparse = RunOpenLoop(server.port(), fresh, kSparseMissQps,
+                                   /*conns=*/threads, 2 * phase_s, &server,
+                                   seed++);
+  sparse.name = "sparse_miss";
+  PrintPhase(sparse);
+
   server.Shutdown();
   ServerStats stats = server.stats();
   BatcherStats bstats = server.batcher_stats();
@@ -598,6 +664,7 @@ int RunLoadBench() {
      << PhaseJson(closed);
   for (const PhaseResult& r : open) os << ",\n" << PhaseJson(r);
   os << ",\n" << PhaseJson(swap_phase);
+  os << ",\n" << PhaseJson(sparse);
   double steady_p99 = open.front().latency_ms.p99;
   double swap_p99_vs_steady =
       steady_p99 > 0 ? swap_phase.latency_ms.p99 / steady_p99 : 0;

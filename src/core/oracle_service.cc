@@ -88,13 +88,21 @@ void OracleService::ClearCache() {
   lru_.clear();
 }
 
-Status OracleService::ValidateQuery(const OdtInput& odt) const {
+Status CheckQueryFields(const OdtInput& odt) {
   auto finite = [](const GpsPoint& p) {
     return std::isfinite(p.lng) && std::isfinite(p.lat);
   };
   if (!finite(odt.origin) || !finite(odt.destination)) {
     return Status::InvalidArgument("query: non-finite coordinates");
   }
+  if (odt.departure_time < 0) {
+    return Status::InvalidArgument("query: negative departure time");
+  }
+  return Status::OK();
+}
+
+Status OracleService::ValidateQuery(const OdtInput& odt) const {
+  DOT_RETURN_NOT_OK(CheckQueryFields(odt));
   BoundingBox area = oracle_->grid().box().Inflated(0.01);
   if (!area.Contains(odt.origin)) {
     return Status::InvalidArgument("query: origin outside the service area");
@@ -102,9 +110,6 @@ Status OracleService::ValidateQuery(const OdtInput& odt) const {
   if (!area.Contains(odt.destination)) {
     return Status::InvalidArgument(
         "query: destination outside the service area");
-  }
-  if (odt.departure_time < 0) {
-    return Status::InvalidArgument("query: negative departure time");
   }
   return Status::OK();
 }

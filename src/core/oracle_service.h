@@ -111,6 +111,12 @@ struct OracleServiceStats {
   }
 };
 
+/// The query checks that need no grid: finite coordinates and a
+/// non-negative departure time. InvalidArgument names the failed check.
+/// OracleService validates with it before its service-area check, and the
+/// serving batcher rejects a query failing it at admission.
+Status CheckQueryFields(const OdtInput& odt);
+
 /// \brief Bucketed LRU-cache front end for a trained DotOracle.
 class OracleService {
  public:
@@ -177,9 +183,9 @@ class OracleService {
   /// Caller holds mu_.
   void InsertLocked(int64_t bucket, Pit pit);
 
-  /// Boundary validation: finite in-area coordinates, non-negative
-  /// departure time. The service area is the grid box inflated by 1% (GPS
-  /// jitter at the boundary must not reject a serviceable trip).
+  /// Boundary validation: CheckQueryFields, then in-area coordinates. The
+  /// service area is the grid box inflated by 1% (GPS jitter at the
+  /// boundary must not reject a serviceable trip).
   Status ValidateQuery(const OdtInput& odt) const;
   /// Stage-1 inference with bounded retry + exponential backoff on
   /// transient (Internal) failures. Takes/releases oracle_mu_ per attempt.

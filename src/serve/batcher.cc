@@ -6,7 +6,6 @@
 
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace dot {
 namespace serve {
@@ -67,6 +66,9 @@ Status DynamicBatcher::Submit(const OdtInput& odt, double deadline_ms,
 
 Status DynamicBatcher::Submit(const OdtInput& odt, double deadline_ms,
                               RequestContext ctx, TimedResponseCallback done) {
+  // A malformed query would fail its whole wave in the backend; refuse it
+  // alone, before it is queued.
+  DOT_RETURN_NOT_OK(CheckQueryFields(odt));
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
     return Status::FailedPrecondition("batcher: shutting down");
@@ -173,7 +175,7 @@ int64_t DynamicBatcher::FlushWaveLocked(std::unique_lock<std::mutex>* lock,
   opts.deadline_ms = earliest;
   StageTiming stage_timing;
   opts.timing = &stage_timing;
-  Stopwatch wave_sw;
+  double start_ms = Now();
   Result<std::vector<DotEstimate>> result = std::vector<DotEstimate>{};
   {
     // The wave span covers the whole backend call; InheritedParent makes
@@ -187,7 +189,8 @@ int64_t DynamicBatcher::FlushWaveLocked(std::unique_lock<std::mutex>* lock,
     }
     result = backend_(odts, opts);
   }
-  double wave_us = wave_sw.ElapsedSeconds() * 1e6;
+  double end_ms = Now();
+  double wave_us = (end_ms - start_ms) * 1e3;
   if (result.ok() && result->size() != odts.size()) {
     result = Status::Internal("backend returned " +
                               std::to_string(result->size()) +
@@ -209,9 +212,16 @@ int64_t DynamicBatcher::FlushWaveLocked(std::unique_lock<std::mutex>* lock,
   }
 
   lock->lock();
+  follow_up_end_ms_ = end_ms + (end_ms - start_ms);
   stats_.completed += static_cast<int64_t>(n);
   cv_.notify_all();
   return static_cast<int64_t>(n);
+}
+
+double DynamicBatcher::HeadDueMsLocked() const {
+  double head_ms = queue_.front().enqueue_ms;
+  return std::min(head_ms + config_.max_wave_age_ms,
+                  std::max(head_ms, follow_up_end_ms_));
 }
 
 void DynamicBatcher::ThreadLoop() {
@@ -226,8 +236,7 @@ void DynamicBatcher::ThreadLoop() {
     // age trigger (timed wait until the oldest request's flush due time).
     while (!stopping_ &&
            static_cast<int64_t>(queue_.size()) < config_.max_batch) {
-      double due_in_ms =
-          queue_.front().enqueue_ms + config_.max_wave_age_ms - Now();
+      double due_in_ms = HeadDueMsLocked() - Now();
       if (due_in_ms <= 0) break;
       cv_.wait_for(lock,
                    std::chrono::duration<double, std::milli>(due_in_ms));
@@ -278,8 +287,7 @@ int64_t DynamicBatcher::PumpOnce(bool force) {
   if (queue_.empty()) return 0;
   bool size_trigger =
       static_cast<int64_t>(queue_.size()) >= config_.max_batch;
-  bool age_trigger =
-      Now() - queue_.front().enqueue_ms >= config_.max_wave_age_ms;
+  bool age_trigger = Now() >= HeadDueMsLocked();
   if (!size_trigger && !age_trigger && !force) return 0;
   FlushReason reason = size_trigger ? FlushReason::kSize
                        : age_trigger ? FlushReason::kAge

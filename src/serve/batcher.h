@@ -2,12 +2,30 @@
 // single queries into OracleService::QueryBatch waves.
 //
 // Requests enter a bounded FIFO queue; a wave is flushed when the queue
-// reaches `max_batch` (size trigger) or the oldest queued request has
-// waited `max_wave_age_ms` (age trigger — bounds the latency a lone query
-// pays for the chance of sharing a diffusion pass). The wave's
-// QueryOptions carry the *earliest* remaining deadline of its members, so
-// the degradation ladder serves the whole wave at the quality the most
-// urgent request can afford.
+// reaches `max_batch` (size trigger) or the oldest queued request is due
+// (age trigger):
+//
+//   due = min(head + max_wave_age_ms, max(head, follow_up_end))
+//   follow_up_end = last_wave_end + last_wave_service
+//
+// `max_wave_age_ms` caps what a lone query pays for the chance of sharing
+// a diffusion pass. The last wave's *follow-up window* lasts one last-wave
+// service time after that wave ended; closed-loop callers re-submitting as
+// a wave answers them land inside it. A head that arrives during a wave or
+// inside its follow-up window waits until the window closes, but at most
+// `max_wave_age_ms`; a stage-1 wave's window is far longer than the age,
+// so there the age decides unless the head arrives late in the window. A
+// head that arrives after the window has closed, i.e. after an idle gap
+// longer than one last-wave service time, flushes at once, whatever that
+// wave cost.
+//
+// The wave's QueryOptions carry the *earliest* remaining deadline of its
+// members, so the degradation ladder serves the whole wave at the quality
+// the most urgent request can afford.
+//
+// A query that fails CheckQueryFields (non-finite coordinates, negative
+// departure time) is rejected at Submit with InvalidArgument, so it never
+// shares — and fails — a wave with valid queries.
 //
 // Admission control is the backpressure mechanism: a Submit against a full
 // queue, or while a full wave (`max_batch` requests) is queued and its head
@@ -30,6 +48,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -77,7 +96,10 @@ using TimedResponseCallback =
 struct BatcherConfig {
   /// Size trigger: a wave never exceeds this many queries.
   int64_t max_batch = 16;
-  /// Age trigger: flush once the oldest queued request has waited this long.
+  /// Age trigger: the longest the oldest queued request waits for
+  /// companions. It flushes sooner once the last wave's follow-up window
+  /// (one last-wave service time after that wave ended) has closed, and at
+  /// once if it arrived after that window.
   double max_wave_age_ms = 5.0;
   /// Admission control: hard queue bound...
   int64_t queue_capacity = 1024;
@@ -101,7 +123,10 @@ struct BatcherStats {
   int64_t rejected_stale = 0;   ///< typed overload: full wave queued, head stale
   int64_t waves = 0;            ///< backend invocations
   int64_t size_flushes = 0;     ///< waves triggered by max_batch
-  int64_t age_flushes = 0;      ///< waves triggered by max_wave_age_ms
+  /// Waves triggered by the head's due time (the header comment's rule):
+  /// max_wave_age_ms, the close of the last wave's follow-up window when
+  /// that comes first, or the head's arrival if it came after the window.
+  int64_t age_flushes = 0;
   int64_t drain_flushes = 0;    ///< waves flushed by Shutdown()
 };
 
@@ -112,9 +137,10 @@ class DynamicBatcher {
   ~DynamicBatcher();  // implies Shutdown()
 
   /// Admits a query (callback fires later, with its estimate or the
-  /// backend's error) or rejects it: ResourceExhausted under overload,
-  /// FailedPrecondition after Shutdown. `deadline_ms` is the client budget
-  /// from now (0 = none).
+  /// backend's error) or rejects it: InvalidArgument for a query failing
+  /// CheckQueryFields, ResourceExhausted under overload, FailedPrecondition
+  /// after Shutdown. `deadline_ms` is the client budget from now (0 =
+  /// none).
   Status Submit(const OdtInput& odt, double deadline_ms, ResponseCallback done);
 
   /// As above, carrying a trace context and receiving the per-request
@@ -145,6 +171,9 @@ class DynamicBatcher {
   enum class FlushReason { kSize, kAge, kDrain };
 
   double Now() const { return config_.now_ms(); }
+  /// When the queue head's age trigger fires (the rule in the header
+  /// comment). Caller holds mu_ and the queue is non-empty.
+  double HeadDueMsLocked() const;
   /// Pops up to max_batch requests and answers them through the backend.
   /// Called with mu_ held; unlocks around the backend call. Returns the
   /// wave size.
@@ -172,6 +201,11 @@ class DynamicBatcher {
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   BatcherStats stats_;
+  // End of the last wave's follow-up window: its backend call's end plus
+  // its cost, both timed with Now(). It bounds the next head's wait
+  // (HeadDueMsLocked); +infinity leaves the first wave to the plain age
+  // rule.
+  double follow_up_end_ms_ = std::numeric_limits<double>::infinity();
   bool stopping_ = false;
   std::mutex join_mu_;  // serializes Shutdown/destructor joins
   std::thread thread_;

@@ -4,6 +4,8 @@
 // samplers fork one noise stream per query, in query order), so batching
 // is purely a throughput optimization.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -53,7 +55,10 @@ class BatchServingFixture : public ::testing::Test {
     ASSERT_TRUE(trained.TrainStage1(dataset_->split.train).ok());
     ASSERT_TRUE(
         trained.TrainStage2(dataset_->split.train, dataset_->split.val).ok());
-    checkpoint_ = ::testing::TempDir() + "/batch_serving_oracle.bin";
+    // Per process: ctest runs each case of the suite in its own process,
+    // and concurrent set-ups must not write or delete one shared file.
+    checkpoint_ = ::testing::TempDir() + "/batch_serving_oracle_" +
+                  std::to_string(::getpid()) + ".bin";
     ASSERT_TRUE(trained.SaveFile(checkpoint_).ok());
   }
   static void TearDownTestSuite() {

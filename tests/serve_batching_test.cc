@@ -1,292 +1,26 @@
-// DynamicBatcher policy tests under an injectable fake clock (manual_pump
-// mode: no background thread, PumpOnce drives wave formation
-// deterministically), plus the end-to-end bitwise-equivalence certificate:
-// answers served through the batcher must equal direct QueryBatch calls on
-// identical oracle state, so the front-end adds concurrency, not noise.
+// The batcher's end-to-end bitwise-equivalence certificate: answers served
+// through the batcher must equal direct QueryBatch calls on identical
+// oracle state, so the front-end adds concurrency, not noise. The fixture
+// trains a small oracle; the model-free policy cases live in
+// serve_batcher_test.
 
-#include <chrono>
-#include <condition_variable>
+#include <unistd.h>
+
+#include <cmath>
 #include <cstdio>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "batcher_test_util.h"
 #include "core/oracle_service.h"
 #include "serve/batcher.h"
 
 namespace dot {
 namespace serve {
 namespace {
-
-/// Shared fake time source; tests advance it explicitly.
-struct FakeClock {
-  double ms = 0;
-  std::function<double()> fn() {
-    return [this] { return ms; };
-  }
-};
-
-OdtInput MakeOdt(int i) {
-  OdtInput odt;
-  odt.origin = {104.0 + i * 1e-3, 30.6};
-  odt.destination = {104.05, 30.65 + i * 1e-3};
-  odt.departure_time = 1541060400 + i * 60;
-  return odt;
-}
-
-/// Backend stub: answers minutes = 100 * index-in-wave + wave_number and
-/// records every wave it saw.
-struct StubBackend {
-  std::vector<std::vector<OdtInput>> waves;
-  std::vector<double> deadlines;  // QueryOptions.deadline_ms per wave
-  Status fail_with;               // non-OK: every wave fails
-
-  BatchBackend fn() {
-    return [this](const std::vector<OdtInput>& odts,
-                  const QueryOptions& opts) -> Result<std::vector<DotEstimate>> {
-      waves.push_back(odts);
-      deadlines.push_back(opts.deadline_ms);
-      if (!fail_with.ok()) return fail_with;
-      std::vector<DotEstimate> out(odts.size());
-      for (size_t i = 0; i < odts.size(); ++i) {
-        out[i].minutes = 100.0 * static_cast<double>(i) +
-                         static_cast<double>(waves.size());
-      }
-      return out;
-    };
-  }
-};
-
-BatcherConfig ManualConfig(FakeClock* clock) {
-  BatcherConfig config;
-  config.max_batch = 4;
-  config.max_wave_age_ms = 10.0;
-  config.queue_capacity = 8;
-  config.queue_budget_ms = 50.0;
-  config.now_ms = clock->fn();
-  config.manual_pump = true;
-  return config;
-}
-
-TEST(BatcherPolicyTest, SizeTriggerFlushesFullWave) {
-  FakeClock clock;
-  StubBackend backend;
-  DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
-  std::vector<double> answers;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(batcher
-                    .Submit(MakeOdt(i), 0,
-                            [&](const Result<DotEstimate>& r) {
-                              ASSERT_TRUE(r.ok());
-                              answers.push_back(r->minutes);
-                            })
-                    .ok());
-  }
-  // No time has passed: the flush is purely the size trigger.
-  EXPECT_EQ(batcher.PumpOnce(), 4);
-  ASSERT_EQ(backend.waves.size(), 1u);
-  EXPECT_EQ(backend.waves[0].size(), 4u);
-  ASSERT_EQ(answers.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(answers[i], 100.0 * i + 1);  // FIFO order preserved
-  }
-  BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.size_flushes, 1);
-  EXPECT_EQ(stats.age_flushes, 0);
-  EXPECT_EQ(stats.submitted, 4);
-  EXPECT_EQ(stats.completed, 4);
-}
-
-TEST(BatcherPolicyTest, AgeTriggerFlushesPartialWave) {
-  FakeClock clock;
-  StubBackend backend;
-  DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
-  int done = 0;
-  ASSERT_TRUE(batcher
-                  .Submit(MakeOdt(0), 0,
-                          [&](const Result<DotEstimate>& r) {
-                            EXPECT_TRUE(r.ok());
-                            ++done;
-                          })
-                  .ok());
-  EXPECT_EQ(batcher.PumpOnce(), 0);  // under max_batch, not old enough
-  clock.ms += 9.99;
-  EXPECT_EQ(batcher.PumpOnce(), 0);  // still one tick short of the age limit
-  clock.ms += 0.02;
-  EXPECT_EQ(batcher.PumpOnce(), 1);  // a lone query must not wait forever
-  EXPECT_EQ(done, 1);
-  BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.age_flushes, 1);
-  EXPECT_EQ(stats.size_flushes, 0);
-}
-
-TEST(BatcherPolicyTest, EarliestDeadlinePropagatesToQueryOptions) {
-  FakeClock clock;
-  StubBackend backend;
-  DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
-  auto ignore = [](const Result<DotEstimate>&) {};
-  // Deadlines 200ms, 80ms, none. 5ms passes in the queue. The wave budget
-  // must be the most urgent member's *remaining* time: 80 - 5 = 75.
-  ASSERT_TRUE(batcher.Submit(MakeOdt(0), 200.0, ignore).ok());
-  ASSERT_TRUE(batcher.Submit(MakeOdt(1), 80.0, ignore).ok());
-  ASSERT_TRUE(batcher.Submit(MakeOdt(2), 0.0, ignore).ok());
-  clock.ms += 5.0;
-  EXPECT_EQ(batcher.PumpOnce(/*force=*/true), 3);
-  ASSERT_EQ(backend.deadlines.size(), 1u);
-  EXPECT_DOUBLE_EQ(backend.deadlines[0], 75.0);
-}
-
-TEST(BatcherPolicyTest, NoDeadlinesMeansUnboundedWave) {
-  FakeClock clock;
-  StubBackend backend;
-  DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
-  auto ignore = [](const Result<DotEstimate>&) {};
-  ASSERT_TRUE(batcher.Submit(MakeOdt(0), 0.0, ignore).ok());
-  ASSERT_TRUE(batcher.Submit(MakeOdt(1), 0.0, ignore).ok());
-  EXPECT_EQ(batcher.PumpOnce(/*force=*/true), 2);
-  ASSERT_EQ(backend.deadlines.size(), 1u);
-  EXPECT_DOUBLE_EQ(backend.deadlines[0], 0.0);  // 0 = no deadline
-}
-
-TEST(BatcherPolicyTest, ExpiredDeadlineClampsToTinyPositiveBudget) {
-  FakeClock clock;
-  StubBackend backend;
-  DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
-  auto ignore = [](const Result<DotEstimate>&) {};
-  ASSERT_TRUE(batcher.Submit(MakeOdt(0), 3.0, ignore).ok());
-  clock.ms += 20.0;  // waited far past its deadline
-  EXPECT_EQ(batcher.PumpOnce(), 1);
-  ASSERT_EQ(backend.deadlines.size(), 1u);
-  // Must stay a *deadline* (positive) — 0 would disable the ladder.
-  EXPECT_GT(backend.deadlines[0], 0.0);
-  EXPECT_LE(backend.deadlines[0], 1.0);
-}
-
-TEST(BatcherPolicyTest, QueueFullRejectsTyped) {
-  FakeClock clock;
-  StubBackend backend;
-  BatcherConfig config = ManualConfig(&clock);
-  config.queue_capacity = 2;
-  DynamicBatcher batcher(backend.fn(), config);
-  auto ignore = [](const Result<DotEstimate>&) {};
-  ASSERT_TRUE(batcher.Submit(MakeOdt(0), 0, ignore).ok());
-  ASSERT_TRUE(batcher.Submit(MakeOdt(1), 0, ignore).ok());
-  Status rejected = batcher.Submit(MakeOdt(2), 0, ignore);
-  EXPECT_TRUE(rejected.IsResourceExhausted()) << rejected;
-  EXPECT_EQ(batcher.stats().rejected_full, 1);
-  EXPECT_EQ(batcher.queue_depth(), 2);
-  // Draining the queue reopens admission.
-  EXPECT_EQ(batcher.PumpOnce(/*force=*/true), 2);
-  EXPECT_TRUE(batcher.Submit(MakeOdt(2), 0, ignore).ok());
-}
-
-TEST(BatcherPolicyTest, StaleQueueHeadRejectsNewArrivals) {
-  FakeClock clock;
-  StubBackend backend;
-  DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
-  auto ignore = [](const Result<DotEstimate>&) {};
-  for (int i = 0; i < 4; ++i) {  // a full wave (max_batch) queued
-    ASSERT_TRUE(batcher.Submit(MakeOdt(i), 0, ignore).ok());
-  }
-  clock.ms += 51.0;  // past queue_budget_ms: the backend is clearly behind
-  Status rejected = batcher.Submit(MakeOdt(4), 0, ignore);
-  EXPECT_TRUE(rejected.IsResourceExhausted()) << rejected;
-  EXPECT_EQ(batcher.stats().rejected_stale, 1);
-  // The queued requests themselves are still answered.
-  EXPECT_EQ(batcher.PumpOnce(), 4);
-  EXPECT_EQ(batcher.stats().completed, 4);
-}
-
-TEST(BatcherPolicyTest, ArrivalThatFitsTheNextWaveIsAdmittedBehindAStaleHead) {
-  // A short age-flushed wave can leave a request queued while the backend
-  // runs it; by the time the other callers re-submit, that request is past
-  // the budget. The re-submissions still fit in the next wave, so they are
-  // not behind and must not be shed.
-  FakeClock clock;
-  StubBackend backend;
-  DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
-  auto ignore = [](const Result<DotEstimate>&) {};
-  ASSERT_TRUE(batcher.Submit(MakeOdt(0), 0, ignore).ok());
-  clock.ms += 51.0;  // the lone queued request is now stale
-  Status admitted = batcher.Submit(MakeOdt(1), 0, ignore);
-  EXPECT_TRUE(admitted.ok()) << admitted;
-  EXPECT_EQ(batcher.stats().rejected_stale, 0);
-  EXPECT_EQ(batcher.PumpOnce(), 2);
-  EXPECT_EQ(batcher.stats().completed, 2);
-}
-
-TEST(BatcherPolicyTest, ShutdownDrainsEverythingThenRefuses) {
-  FakeClock clock;
-  StubBackend backend;
-  DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
-  int done = 0;
-  for (int i = 0; i < 6; ++i) {  // 1.5 waves worth
-    ASSERT_TRUE(batcher
-                    .Submit(MakeOdt(i), 0,
-                            [&](const Result<DotEstimate>& r) {
-                              EXPECT_TRUE(r.ok());
-                              ++done;
-                            })
-                    .ok());
-  }
-  batcher.Shutdown();
-  EXPECT_EQ(done, 6);  // every admitted request answered before return
-  EXPECT_EQ(batcher.queue_depth(), 0);
-  BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.completed, 6);
-  EXPECT_GE(stats.drain_flushes, 1);
-  Status after = batcher.Submit(MakeOdt(9), 0, [](const Result<DotEstimate>&) {});
-  EXPECT_TRUE(after.IsFailedPrecondition()) << after;
-}
-
-TEST(BatcherPolicyTest, BackendErrorReachesEveryCallback) {
-  FakeClock clock;
-  StubBackend backend;
-  backend.fail_with = Status::Internal("wave exploded");
-  DynamicBatcher batcher(backend.fn(), ManualConfig(&clock));
-  int errors = 0;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(batcher
-                    .Submit(MakeOdt(i), 0,
-                            [&](const Result<DotEstimate>& r) {
-                              EXPECT_TRUE(r.status().IsInternal());
-                              ++errors;
-                            })
-                    .ok());
-  }
-  EXPECT_EQ(batcher.PumpOnce(/*force=*/true), 3);
-  EXPECT_EQ(errors, 3);
-}
-
-TEST(BatcherPolicyTest, RealThreadFlushesOnAgeWithoutPumping) {
-  // Sanity-check the background thread variant end to end: the wall-clock
-  // age trigger must flush a lone request without any explicit pump.
-  StubBackend backend;
-  BatcherConfig config;
-  config.max_batch = 64;        // size trigger unreachable
-  config.max_wave_age_ms = 2.0;
-  DynamicBatcher batcher(backend.fn(), config);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool answered = false;
-  ASSERT_TRUE(batcher
-                  .Submit(MakeOdt(0), 0,
-                          [&](const Result<DotEstimate>& r) {
-                            EXPECT_TRUE(r.ok());
-                            std::lock_guard<std::mutex> lock(mu);
-                            answered = true;
-                            cv.notify_all();
-                          })
-                  .ok());
-  std::unique_lock<std::mutex> lock(mu);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
-                          [&] { return answered; }));
-  EXPECT_GE(batcher.stats().age_flushes, 1);
-}
 
 // --- End-to-end equivalence against a real trained oracle ----------------
 
@@ -318,7 +52,10 @@ class BatcherOracleFixture : public ::testing::Test {
     ASSERT_TRUE(trained.TrainStage1(dataset_->split.train).ok());
     ASSERT_TRUE(
         trained.TrainStage2(dataset_->split.train, dataset_->split.val).ok());
-    checkpoint_ = ::testing::TempDir() + "/serve_batching_oracle.bin";
+    // Per process: ctest runs each case of the suite in its own process,
+    // and concurrent set-ups must not write or delete one shared file.
+    checkpoint_ = ::testing::TempDir() + "/serve_batching_oracle_" +
+                  std::to_string(::getpid()) + ".bin";
     ASSERT_TRUE(trained.SaveFile(checkpoint_).ok());
   }
   static void TearDownTestSuite() {
@@ -427,6 +164,47 @@ TEST_F(BatcherOracleFixture, TwoAgeFlushedWavesMatchTwoDirectBatches) {
   EXPECT_EQ(batched[0], (*first)[0].minutes);
   EXPECT_EQ(batched[1], (*first)[1].minutes);
   EXPECT_EQ(batched[2], (*second)[0].minutes);
+}
+
+TEST_F(BatcherOracleFixture, MalformedQueryIsRejectedAtAdmissionNotInItsWave) {
+  auto batcher_oracle = NewClone();
+  auto direct_oracle = NewClone();
+  OracleService batcher_service(batcher_oracle.get());
+  OracleService direct_service(direct_oracle.get());
+
+  FakeClock clock;
+  DynamicBatcher batcher(OracleBackend(&batcher_service),
+                         ManualConfig(&clock));
+  std::vector<OdtInput> valid = {TestOdt(0), TestOdt(1), TestOdt(2)};
+  std::vector<double> batched(valid.size(), -1);
+  auto submit_valid = [&](size_t i) {
+    return batcher.Submit(valid[i], 0,
+                          [&batched, i](const Result<DotEstimate>& r) {
+                            ASSERT_TRUE(r.ok()) << r.status();
+                            batched[i] = r->minutes;
+                          });
+  };
+  OdtInput nan_origin = TestOdt(3);
+  nan_origin.origin.lng = std::nan("");
+  ASSERT_TRUE(submit_valid(0).ok());
+  ASSERT_TRUE(submit_valid(1).ok());
+  Status rejected =
+      batcher.Submit(nan_origin, 0, [](const Result<DotEstimate>&) {
+        ADD_FAILURE() << "a rejected query must get no callback";
+      });
+  EXPECT_TRUE(rejected.IsInvalidArgument()) << rejected;
+  ASSERT_TRUE(submit_valid(2).ok());
+  EXPECT_EQ(batcher.stats().submitted, 3);
+
+  // The wave holds only the valid queries, so it answers each of them
+  // exactly as a direct QueryBatch of the same three does.
+  EXPECT_EQ(batcher.PumpOnce(/*force=*/true), 3);
+  Result<std::vector<DotEstimate>> direct = direct_service.QueryBatch(valid);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  ASSERT_EQ(direct->size(), valid.size());
+  for (size_t i = 0; i < valid.size(); ++i) {
+    EXPECT_EQ(batched[i], (*direct)[i].minutes) << "query " << i;
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -118,6 +119,42 @@ TEST(ServeStressTest, ManyClientsManyRequestsAllAnswered) {
   // than requests (mean wave size > 1).
   EXPECT_LT(bstats.waves, static_cast<int64_t>(kClients) * kPerClient);
   EXPECT_GE(bstats.waves, 1);
+}
+
+TEST(ServeStressTest, MalformedQueryIsAnsweredAloneAmongPipelinedFrames) {
+  // One connection pipelines 8 frames, the 4th with a NaN origin. The bad
+  // query is refused at admission, so it cannot fail the wave its
+  // neighbours share.
+  std::atomic<int64_t> served{0};
+  Server server(StubBackend(&served));
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  const int kFrames = 8;
+  const int kBad = 3;
+  for (int i = 0; i < kFrames; ++i) {
+    OdtInput odt = MakeOdt(i);
+    if (i == kBad) odt.origin.lng = std::nan("");
+    ASSERT_TRUE(client.SendQuery(i, odt).ok());
+  }
+  for (int i = 0; i < kFrames; ++i) {
+    Result<QueryResponse> r = client.ReceiveFor(i, /*timeout_ms=*/30000);
+    ASSERT_TRUE(r.ok()) << r.status();
+    if (i == kBad) {
+      EXPECT_EQ(r->code, static_cast<uint8_t>(StatusCode::kInvalidArgument));
+      EXPECT_FALSE(r->message.empty());
+    } else {
+      EXPECT_EQ(r->code, 0) << r->message;
+      EXPECT_EQ(r->minutes,
+                static_cast<double>(MakeOdt(i).departure_time % 1000));
+    }
+  }
+  server.Shutdown();
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, kFrames);
+  EXPECT_EQ(stats.responses, kFrames);
+  EXPECT_EQ(stats.overload_rejected, 0);
+  EXPECT_EQ(served.load(), kFrames - 1);
 }
 
 TEST(ServeStressTest, OverloadYieldsTypedRejectionsAndServerSurvives) {
