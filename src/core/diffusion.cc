@@ -18,12 +18,19 @@ namespace {
 
 /// Failpoint hook shared by both samplers: `diffusion.sample = nan`
 /// overwrites the denoised batch with NaNs (a numerically-diverged reverse
-/// pass); `delay` injects latency inside Fire() itself.
+/// pass), and `nan(k)` only batch position k - 1 (one diverged sample; no
+/// effect on a batch of fewer than k); `delay` injects latency inside
+/// Fire() itself.
 void MaybeInjectSampleFault(Tensor* x) {
-  if (DOT_FAILPOINT("diffusion.sample") == fail::Action::kNan) {
-    float nan = std::numeric_limits<float>::quiet_NaN();
-    for (int64_t i = 0; i < x->numel(); ++i) x->at(i) = nan;
-  }
+  static fail::Failpoint* fp = fail::Get("diffusion.sample");
+  if (fp->Fire() != fail::Action::kNan) return;
+  int64_t b = x->size(0);
+  int64_t per = x->numel() / b;
+  int64_t k = static_cast<int64_t>(fp->arg());
+  int64_t begin = k >= 1 ? k - 1 : 0;
+  int64_t end = k >= 1 ? std::min(k, b) : b;
+  float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t i = begin * per; i < end * per; ++i) x->at(i) = nan;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -57,7 +58,7 @@ std::vector<Pit> DotOracle::InferPits(const std::vector<OdtInput>& odts) {
   return InferPitsImpl(odts, 0, nullptr);
 }
 
-Result<std::vector<Pit>> DotOracle::TryInferPits(
+Result<InferredPits> DotOracle::TryInferPits(
     const std::vector<OdtInput>& odts, int64_t sample_steps) {
   if (!stage1_trained_) {
     return Status::FailedPrecondition("stage 1 untrained");
@@ -65,16 +66,14 @@ Result<std::vector<Pit>> DotOracle::TryInferPits(
   if (DOT_FAILPOINT("dot_oracle.infer_pits") == fail::Action::kError) {
     return Status::Internal("failpoint 'dot_oracle.infer_pits' fired");
   }
-  bool sane = true;
-  std::vector<Pit> pits = InferPitsImpl(odts, sample_steps, &sane);
-  if (!sane) {
-    return Status::Internal("stage 1 sampler produced non-finite PiT values");
-  }
-  return pits;
+  InferredPits out;
+  out.pits = InferPitsImpl(odts, sample_steps, &out.poisoned);
+  return out;
 }
 
 std::vector<Pit> DotOracle::InferPitsImpl(const std::vector<OdtInput>& odts,
-                                          int64_t sample_steps, bool* sane) {
+                                          int64_t sample_steps,
+                                          std::vector<char>* poisoned) {
   DOT_CHECK(stage1_trained_) << "InferPits before TrainStage1";
   // Stage-1 half of the estimation cost (Table 5: diffusion sampling
   // dominates) — kept as a separate span + histogram so the split stays
@@ -83,6 +82,7 @@ std::vector<Pit> DotOracle::InferPitsImpl(const std::vector<OdtInput>& odts,
   Stopwatch sw;
   std::vector<Pit> out;
   out.reserve(odts.size());
+  if (poisoned != nullptr) poisoned->clear();
   int64_t l = config_.grid_size;
   int64_t bs = std::max<int64_t>(1, config_.batch_size);
   int64_t steps = sample_steps > 0 ? sample_steps : config_.sample_steps;
@@ -100,20 +100,17 @@ std::vector<Pit> DotOracle::InferPitsImpl(const std::vector<OdtInput>& odts,
     } else {
       x = diffusion_.SampleStrided(*denoiser_, cond, shape, steps, &rng_);
     }
-    if (sane != nullptr && *sane) {
-      // Scan the raw sampler output: Canonicalize would clamp values and
-      // could mask a diverged pass.
-      for (int64_t i = 0; i < x.numel(); ++i) {
-        if (!std::isfinite(x.at(i))) {
-          *sane = false;
-          break;
-        }
-      }
-    }
     for (int64_t i = 0; i < b; ++i) {
       Tensor one = Tensor::Empty({kPitChannels, l, l});
-      std::copy(x.data() + i * one.numel(), x.data() + (i + 1) * one.numel(),
-                one.data());
+      const float* raw = x.data() + i * one.numel();
+      if (poisoned != nullptr) {
+        // Scan the raw sampler output: Canonicalize would clamp values and
+        // could mask a diverged sample.
+        poisoned->push_back(std::any_of(raw, raw + one.numel(), [](float v) {
+          return !std::isfinite(v);
+        }));
+      }
+      std::copy(raw, raw + one.numel(), one.data());
       Pit pit = Pit::FromTensor(one).ValueOrDie();
       pit.Canonicalize(config_.mask_threshold);
       if (config_.augment_endpoints) {
@@ -173,6 +170,85 @@ std::vector<double> DotOracle::EstimateFromPits(
       obs::MetricsRegistry::Get().GetHistogram("dot_oracle_stage2_latency_us");
   latency->Observe(sw.ElapsedSeconds() * 1e6);
   return out;
+}
+
+namespace {
+
+/// Order-sensitive 64-bit digest: every word is folded into the state and
+/// avalanched with the splitmix64 finalizer.
+class Digest {
+ public:
+  void Add(uint64_t v) {
+    uint64_t x = h_ ^ v;
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    h_ = x ^ (x >> 31);
+  }
+  void Add(double v) {
+    uint64_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    Add(u);
+  }
+  void Add(const std::string& s) {
+    Add(static_cast<uint64_t>(s.size()));
+    AddBytes(s.data(), s.size());
+  }
+  void AddBytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (; n >= 8; p += 8, n -= 8) {
+      uint64_t w;
+      std::memcpy(&w, p, sizeof(w));
+      Add(w);
+    }
+    uint64_t tail = 0;
+    std::memcpy(&tail, p, n);
+    Add(tail);
+  }
+  void AddParameters(const nn::Module& m) {
+    for (const auto& [name, t] : m.NamedParameters()) {
+      Add(name);
+      for (int64_t d : t.shape()) Add(static_cast<uint64_t>(d));
+      AddBytes(t.data(), static_cast<size_t>(t.numel()) * sizeof(float));
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0;
+};
+
+}  // namespace
+
+uint64_t DotOracle::ModelDigest() const {
+  Digest d;
+  const DotConfig& c = config_;
+  for (int64_t v : {c.grid_size, c.diffusion_steps, c.sample_steps,
+                    c.batch_size, c.unet.in_channels, c.unet.base_channels,
+                    c.unet.levels, c.unet.cond_dim, c.unet.heads,
+                    c.unet.attention_max_hw, c.unet.max_steps,
+                    c.estimator.grid_size, c.estimator.embed_dim,
+                    c.estimator.layers, c.estimator.heads,
+                    c.estimator.ffn_mult}) {
+    d.Add(static_cast<uint64_t>(v));
+  }
+  for (bool v : {c.ancestral_sampling, c.augment_endpoints,
+                 c.use_time_condition, c.use_od_condition,
+                 c.unet.spatial_condition, c.estimator.use_cell_embedding,
+                 c.estimator.use_latent_cast, c.estimator.use_odt_features}) {
+    d.Add(static_cast<uint64_t>(v));
+  }
+  d.Add(static_cast<uint64_t>(c.parameterization));
+  d.Add(static_cast<uint64_t>(c.estimator_kind));
+  d.Add(static_cast<double>(c.mask_threshold));
+  const BoundingBox& box = grid_.box();
+  for (double v : {box.min_lng, box.min_lat, box.max_lng, box.max_lat,
+                   target_mean_, target_std_}) {
+    d.Add(v);
+  }
+  d.AddParameters(*denoiser_);
+  d.AddParameters(*estimator_->module());
+  return d.value();
 }
 
 Status DotOracle::AdoptStage1(const DotOracle& other) {

@@ -123,6 +123,14 @@ struct DotEstimate {
   double uncertainty_minutes = -1;
 };
 
+/// \brief Stage-1 output of DotOracle::TryInferPits.
+struct InferredPits {
+  std::vector<Pit> pits;  ///< one per query, in query order
+  /// Parallel to `pits`: nonzero where the sampler's raw output for that
+  /// sample held a non-finite value. Such a PiT must not be served.
+  std::vector<char> poisoned;
+};
+
 /// \brief Two-stage DOT model.
 class DotOracle {
  public:
@@ -181,11 +189,17 @@ class DotOracle {
   /// Failure-aware stage 1 for the serving path: honors the
   /// `dot_oracle.infer_pits` failpoint, runs the reverse pass with
   /// `sample_steps` DDIM steps (0 = the configured count; the degradation
-  /// ladder passes fewer under deadline pressure), and rejects non-finite
-  /// sampler output with Internal instead of handing poisoned PiTs to
-  /// stage 2.
-  Result<std::vector<Pit>> TryInferPits(const std::vector<OdtInput>& odts,
-                                        int64_t sample_steps = 0);
+  /// ladder passes fewer under deadline pressure), and flags non-finite
+  /// sampler output per sample, so one diverged sample costs no other
+  /// query its PiT and no poisoned PiT reaches stage 2.
+  Result<InferredPits> TryInferPits(const std::vector<OdtInput>& odts,
+                                    int64_t sample_steps = 0);
+
+  /// 64-bit digest of everything an answer is a function of besides the
+  /// sampling RNG's state: parameter bytes, target statistics, grid and
+  /// architecture/sampling config. Two replicas with equal digests answer
+  /// alike, so their misses may share one sampling pass (DESIGN.md §5i).
+  uint64_t ModelDigest() const;
 
   /// Stage-2 only: estimates minutes from already-inferred PiTs. `odts`
   /// must be parallel to `pits` (the estimator's wide component reads the
@@ -243,10 +257,11 @@ class DotOracle {
   Status AdoptStage1(const DotOracle& other);
 
  private:
-  /// Shared stage-1 body; `sane` (when non-null) is cleared if the sampler
-  /// emitted any non-finite value.
+  /// Shared stage-1 body; `poisoned` (when non-null) gets one flag per
+  /// query, set where the sampler emitted a non-finite value.
   std::vector<Pit> InferPitsImpl(const std::vector<OdtInput>& odts,
-                                 int64_t sample_steps, bool* sane);
+                                 int64_t sample_steps,
+                                 std::vector<char>* poisoned);
 
   /// Shared denoiser training loop (oracle_train.cc): `cosine_lr` enables
   /// the full-training cosine decay; fine-tuning runs at a constant low lr.

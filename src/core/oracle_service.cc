@@ -1,13 +1,17 @@
 #include "core/oracle_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <map>
+#include <numeric>
 #include <random>
 #include <thread>
 #include <unordered_set>
 
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "util/logging.h"
 
 namespace dot {
 
@@ -114,12 +118,13 @@ Status OracleService::ValidateQuery(const OdtInput& odt) const {
   return Status::OK();
 }
 
-Result<std::vector<Pit>> OracleService::TryInferWithRetry(
-    const std::vector<OdtInput>& odts, int64_t sample_steps,
-    const QueryOptions& opts, const Stopwatch& sw) {
+void OracleService::InferWithRetry(const std::vector<OdtInput>& odts,
+                                   int64_t sample_steps, ServedQuality level,
+                                   const QueryOptions& opts,
+                                   const Stopwatch& sw,
+                                   std::vector<size_t>* todo, MissServe* out) {
   int64_t attempts = 1 + std::max<int64_t>(0, config_.max_retries);
-  Status last = Status::Internal("stage 1: no attempt made");
-  for (int64_t a = 0; a < attempts; ++a) {
+  for (int64_t a = 0; a < attempts && !todo->empty(); ++a) {
     if (a > 0) {
       // Exponential backoff with ±25% jitter: after a common-cause failure
       // every shard retries on its own schedule instead of re-storming the
@@ -140,16 +145,31 @@ Result<std::vector<Pit>> OracleService::TryInferWithRetry(
             std::chrono::duration<double, std::milli>(backoff_ms));
       }
     }
+    std::vector<OdtInput> batch;
+    batch.reserve(todo->size());
+    for (size_t i : *todo) batch.push_back(odts[i]);
     std::unique_lock<std::mutex> olock(oracle_mu_);
-    Result<std::vector<Pit>> r = oracle_->TryInferPits(odts, sample_steps);
+    Result<InferredPits> r = oracle_->TryInferPits(batch, sample_steps);
     olock.unlock();
-    if (r.ok()) return r;
-    last = r.status();
-    // Only Internal failures (failpoints, diverged samplers) are worth a
-    // retry; anything else (untrained, bad input) is permanent.
-    if (last.code() != StatusCode::kInternal) break;
+    if (!r.ok()) {
+      // Only Internal failures (failpoints, diverged samplers) are worth a
+      // retry; anything else (untrained, bad input) is permanent.
+      if (r.status().code() != StatusCode::kInternal) break;
+      continue;
+    }
+    // Serve the finite samples; only the poisoned ones try again.
+    std::vector<size_t> left;
+    for (size_t j = 0; j < todo->size(); ++j) {
+      size_t i = (*todo)[j];
+      if (r->poisoned[j]) {
+        left.push_back(i);
+        continue;
+      }
+      out->pits[i] = std::move(r->pits[j]);
+      out->quality[i] = level;
+    }
+    *todo = std::move(left);
   }
-  return last;
 }
 
 bool OracleService::LookupNeighborLocked(int64_t bucket, Pit* pit) {
@@ -172,14 +192,13 @@ bool OracleService::LookupNeighborLocked(int64_t bucket, Pit* pit) {
 }
 
 OracleService::MissServe OracleService::ServeMisses(
-    const std::vector<OdtInput>& miss_odts,
-    const std::vector<int64_t>& miss_buckets, const QueryOptions& opts,
+    const std::vector<OdtInput>& miss_odts, const QueryOptions& opts,
     const Stopwatch& sw) {
   size_t m = miss_odts.size();
   MissServe out;
   out.pits.assign(m, Pit{1});
-  out.minutes.assign(m, 0.0);
   out.quality.assign(m, ServedQuality::kFallback);
+  out.failed.assign(m, 0);
 
   // Deadline triage: predict the full pass's cost from the p95 of the
   // observed stage-1 latencies and pick the highest ladder level whose
@@ -216,42 +235,23 @@ OracleService::MissServe OracleService::ServeMisses(
     }
   }
 
-  if (!skip_stage1) {
-    Result<std::vector<Pit>> r =
-        TryInferWithRetry(miss_odts, steps, opts, sw);
-    if (!r.ok() && target == ServedQuality::kFull) {
-      // Stage 1 failed at full quality: one more round at reduced steps
-      // before abandoning inference for this wave.
-      target = ServedQuality::kReducedSteps;
-      r = TryInferWithRetry(miss_odts, config_.degraded_sample_steps, opts,
-                            sw);
-    }
-    if (r.ok()) {
-      out.pits = std::move(*r);
-      out.quality.assign(m, target);
-      out.fresh = true;
-      return out;
-    }
-    out.stage1_error = true;  // attempted and exhausted — a real failure
+  if (skip_stage1) return out;
+  std::vector<size_t> todo(m);
+  std::iota(todo.begin(), todo.end(), size_t{0});
+  InferWithRetry(miss_odts, steps, target, opts, sw, &todo, &out);
+  if (!todo.empty() && target == ServedQuality::kFull) {
+    // Stage 1 failed these misses at full quality: one more round at
+    // reduced steps before abandoning inference for them.
+    InferWithRetry(miss_odts, config_.degraded_sample_steps,
+                   ServedQuality::kReducedSteps, opts, sw, &todo, &out);
   }
-
-  // Ladder tail, per miss: a cached PiT from a neighboring time-of-day
-  // bucket, else the fallback estimate. Never fails.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < m; ++i) {
-      if (LookupNeighborLocked(miss_buckets[i], &out.pits[i])) {
-        out.quality[i] = ServedQuality::kCachedNeighbor;
-      }
-    }
-  }
-  for (size_t i = 0; i < m; ++i) {
-    if (out.quality[i] != ServedQuality::kFallback) continue;
-    out.minutes[i] = config_.fallback_estimator
-                         ? config_.fallback_estimator(miss_odts[i])
-                         : oracle_->prior_mean_minutes();
-  }
+  for (size_t i : todo) out.failed[i] = 1;  // attempted and exhausted
   return out;
+}
+
+double OracleService::FallbackMinutes(const OdtInput& odt) const {
+  return config_.fallback_estimator ? config_.fallback_estimator(odt)
+                                    : oracle_->prior_mean_minutes();
 }
 
 void OracleService::RecordQuality(ServedQuality q) {
@@ -310,28 +310,35 @@ Result<DotEstimate> OracleService::Query(const OdtInput& odt,
   }
   metrics_.cache_misses->Increment();
   Stopwatch stage1_sw;
-  MissServe served = ServeMisses({odt}, {bucket}, opts, sw);
+  MissServe served = ServeMisses({odt}, opts, sw);
   if (opts.timing != nullptr) {
     opts.timing->stage1_us = stage1_sw.ElapsedSeconds() * 1e6;
   }
-  if (opts.stage1_failed != nullptr && served.stage1_error) {
+  if (opts.stage1_failed != nullptr && served.failed[0]) {
     *opts.stage1_failed = true;
   }
   DotEstimate est;
   est.quality = served.quality[0];
+  est.pit = std::move(served.pits[0]);
   if (est.quality == ServedQuality::kFallback) {
-    est.minutes = served.minutes[0];
+    // Ladder tail: a neighboring time-of-day bucket, else the fallback.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (LookupNeighborLocked(bucket, &est.pit)) {
+      est.quality = ServedQuality::kCachedNeighbor;
+    }
+  }
+  if (est.quality == ServedQuality::kFallback) {
+    est.minutes = FallbackMinutes(odt);
   } else {
     Stopwatch stage2_sw;
     std::unique_lock<std::mutex> olock(oracle_mu_);
-    est.minutes = oracle_->EstimateFromPits({served.pits[0]}, {odt})[0];
+    est.minutes = oracle_->EstimateFromPits({est.pit}, {odt})[0];
     olock.unlock();
     if (opts.timing != nullptr) {
       opts.timing->stage2_us = stage2_sw.ElapsedSeconds() * 1e6;
     }
-    est.pit = std::move(served.pits[0]);
   }
-  if (served.fresh && est.quality == ServedQuality::kFull) {
+  if (est.quality == ServedQuality::kFull) {
     // Degraded PiTs are served but never cached: a warm entry promises
     // full quality to every later hit.
     std::lock_guard<std::mutex> lock(mu_);
@@ -345,141 +352,202 @@ Result<DotEstimate> OracleService::Query(const OdtInput& odt,
 Result<std::vector<DotEstimate>> OracleService::QueryBatch(
     const std::vector<OdtInput>& odts, const QueryOptions& opts) {
   if (odts.empty()) return std::vector<DotEstimate>{};
-  for (size_t i = 0; i < odts.size(); ++i) {
-    Status s = ValidateQuery(odts[i]);
-    if (!s.ok()) {
-      return Status::InvalidArgument("batch query " + std::to_string(i) +
-                                     ": " + s.message());
-    }
-  }
-  if (!oracle_->trained()) {
-    return Status::FailedPrecondition("oracle not trained");
-  }
-  obs::TraceSpan span("OracleService::QueryBatch");
-  Stopwatch sw;
-  if (opts.stage1_failed != nullptr) *opts.stage1_failed = false;
-  size_t n = odts.size();
-  metrics_.queries->Increment(static_cast<int64_t>(n));
-  metrics_.batch_size->Observe(static_cast<double>(n));
-  std::vector<int64_t> buckets(n);
-  for (size_t i = 0; i < n; ++i) buckets[i] = BucketOf(odts[i]);
+  ServiceWave wave;
+  wave.service = this;
+  wave.odts = odts;
+  wave.positions.resize(odts.size());
+  std::iota(wave.positions.begin(), wave.positions.end(), size_t{0});
+  DOT_RETURN_NOT_OK(QueryWaves({&wave}, opts));
+  return std::move(wave.estimates);
+}
 
-  // Partition the wave into cache hits and deduplicated misses. Duplicate
-  // missing buckets within the wave ride along on the single miss-fill
-  // exactly as sequential queries would reuse the fresh cache entry; they
-  // are accounted as dedup_hits, not cache_hits — the cache was cold for
-  // them, the wave itself was redundant.
-  std::vector<Pit> pits(n, Pit{1});
-  std::vector<char> resolved(n, 0);
-  std::vector<size_t> miss_rep;  // wave index of each unique missing bucket
-  std::unordered_map<int64_t, size_t> miss_slot;  // bucket -> miss_rep index
-  int64_t wave_hits = 0, wave_dedup = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.queries += static_cast<int64_t>(n);
-    ++stats_.batch_queries;
-    for (size_t i = 0; i < n; ++i) {
-      auto it = cache_.find(buckets[i]);
-      if (it != cache_.end()) {
-        ++stats_.cache_hits;
-        ++wave_hits;
-        Touch(it);
-        pits[i] = it->second.pit;
-        resolved[i] = 1;
-      } else if (miss_slot.count(buckets[i])) {
-        ++stats_.dedup_hits;  // free rider on this wave's miss-fill
-        ++wave_dedup;
-      } else {
-        ++stats_.cache_misses;
-        miss_slot.emplace(buckets[i], miss_rep.size());
-        miss_rep.push_back(i);
+Status OracleService::QueryWaves(const std::vector<ServiceWave*>& waves,
+                                 const QueryOptions& opts) {
+  if (opts.stage1_failed != nullptr) *opts.stage1_failed = false;
+  for (ServiceWave* w : waves) {
+    DOT_CHECK(w->positions.size() == w->odts.size())
+        << "positions must parallel odts";
+    for (size_t i = 0; i < w->odts.size(); ++i) {
+      Status s = w->service->ValidateQuery(w->odts[i]);
+      if (!s.ok()) {
+        return Status::InvalidArgument("batch query " + std::to_string(i) +
+                                       ": " + s.message());
       }
     }
-  }
-  metrics_.cache_hits->Increment(wave_hits);
-  metrics_.dedup_hits->Increment(wave_dedup);
-  metrics_.cache_misses->Increment(static_cast<int64_t>(miss_rep.size()));
-
-  // Single batched miss-fill through the degradation ladder: one
-  // reverse-diffusion pass (possibly at reduced steps) denoises every
-  // missing bucket's PiT, and a wave whose stage 1 fails outright falls to
-  // neighbor-bucket / fallback answers instead of erroring.
-  std::vector<ServedQuality> quality(n, ServedQuality::kFull);
-  std::vector<double> fallback_minutes(n, 0.0);
-  if (!miss_rep.empty()) {
-    std::vector<OdtInput> miss_odts;
-    std::vector<int64_t> miss_buckets;
-    miss_odts.reserve(miss_rep.size());
-    miss_buckets.reserve(miss_rep.size());
-    for (size_t idx : miss_rep) {
-      miss_odts.push_back(odts[idx]);
-      miss_buckets.push_back(buckets[idx]);
+    if (!w->service->oracle_->trained()) {
+      return Status::FailedPrecondition("oracle not trained");
     }
+  }
+  if (waves.empty()) return Status::OK();
+  OracleService* lead = waves[0]->service;
+  obs::TraceSpan span("OracleService::QueryBatch");
+  Stopwatch sw;
+
+  // The group's queries in wave order: member m is query order[m].second
+  // of slice order[m].first, and slice w's query k is member member[w][k].
+  std::vector<std::pair<size_t, size_t>> order;
+  for (size_t w = 0; w < waves.size(); ++w) {
+    for (size_t k = 0; k < waves[w]->odts.size(); ++k) order.emplace_back(w, k);
+  }
+  std::sort(order.begin(), order.end(), [&](const auto& a, const auto& b) {
+    return waves[a.first]->positions[a.second] <
+           waves[b.first]->positions[b.second];
+  });
+  size_t n = order.size();
+  std::vector<std::vector<size_t>> member(waves.size());
+  for (size_t w = 0; w < waves.size(); ++w) {
+    member[w].resize(waves[w]->odts.size());
+  }
+  std::vector<const OdtInput*> odt(n);
+  std::vector<int64_t> buckets(n);
+  for (size_t m = 0; m < n; ++m) {
+    auto [w, k] = order[m];
+    member[w][k] = m;
+    odt[m] = &waves[w]->odts[k];
+    buckets[m] = waves[w]->service->BucketOf(*odt[m]);
+  }
+
+  // Hits, each slice against its own cache.
+  std::vector<Pit> pits(n, Pit{1});
+  std::vector<char> hit(n, 0);
+  for (size_t w = 0; w < waves.size(); ++w) {
+    OracleService* svc = waves[w]->service;
+    int64_t len = static_cast<int64_t>(member[w].size());
+    svc->metrics_.queries->Increment(len);
+    svc->metrics_.batch_size->Observe(static_cast<double>(len));
+    int64_t hits = 0;
+    {
+      std::lock_guard<std::mutex> lock(svc->mu_);
+      svc->stats_.queries += len;
+      ++svc->stats_.batch_queries;
+      for (size_t m : member[w]) {
+        auto it = svc->cache_.find(buckets[m]);
+        if (it == svc->cache_.end()) continue;
+        svc->Touch(it);
+        pits[m] = it->second.pit;
+        hit[m] = 1;
+        ++hits;
+      }
+      svc->stats_.cache_hits += hits;
+    }
+    svc->metrics_.cache_hits->Increment(hits);
+    waves[w]->cache_hits = hits;
+    waves[w]->stage1_failed = false;
+  }
+
+  // Deduplicate the misses by bucket across the group, in wave order. A
+  // bucket's first query conditions its sample; later ones ride along and
+  // count as dedup hits for their own service, exactly as sequential
+  // queries would reuse the fresh cache entry.
+  std::vector<size_t> slot(n, 0);
+  std::vector<OdtInput> miss_odts;
+  std::map<std::pair<int64_t, int64_t>, size_t> slot_of;  // (tod_slots, bucket)
+  std::vector<int64_t> misses(waves.size(), 0), dedup(waves.size(), 0);
+  for (size_t m = 0; m < n; ++m) {
+    if (hit[m]) continue;
+    size_t w = order[m].first;
+    auto [it, first] = slot_of.try_emplace(
+        {waves[w]->service->config_.tod_slots, buckets[m]}, miss_odts.size());
+    if (first) {
+      miss_odts.push_back(*odt[m]);
+      ++misses[w];
+    } else {
+      ++dedup[w];
+    }
+    slot[m] = it->second;
+  }
+
+  // One batched miss-fill through the degradation ladder: one reverse-
+  // diffusion pass (possibly at reduced steps) denoises every missing
+  // bucket's PiT, and the samples it fails fall to their slice's
+  // neighbor-bucket / fallback answers instead of failing the wave.
+  MissServe served;
+  if (!miss_odts.empty()) {
     Stopwatch stage1_sw;
-    MissServe served = ServeMisses(miss_odts, miss_buckets, opts, sw);
+    served = lead->ServeMisses(miss_odts, opts, sw);
     if (opts.timing != nullptr) {
       opts.timing->stage1_us = stage1_sw.ElapsedSeconds() * 1e6;
     }
-    if (opts.stage1_failed != nullptr && served.stage1_error) {
-      *opts.stage1_failed = true;
-    }
-    if (served.fresh && served.quality[0] == ServedQuality::kFull) {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (size_t k = 0; k < miss_rep.size(); ++k) {
-        InsertLocked(miss_buckets[k], served.pits[k]);
+  }
+  std::vector<ServedQuality> quality(n, ServedQuality::kFull);
+  std::vector<char> cached(miss_odts.size());
+  for (size_t w = 0; w < waves.size(); ++w) {
+    OracleService* svc = waves[w]->service;
+    svc->metrics_.dedup_hits->Increment(dedup[w]);
+    svc->metrics_.cache_misses->Increment(misses[w]);
+    std::fill(cached.begin(), cached.end(), 0);
+    std::lock_guard<std::mutex> lock(svc->mu_);
+    svc->stats_.dedup_hits += dedup[w];
+    svc->stats_.cache_misses += misses[w];
+    for (size_t m : member[w]) {
+      if (hit[m]) continue;
+      size_t s = slot[m];
+      quality[m] = served.quality[s];
+      if (served.failed[s]) waves[w]->stage1_failed = true;
+      if (quality[m] == ServedQuality::kFallback) continue;
+      pits[m] = served.pits[s];
+      // Degraded PiTs are served but never cached: a warm entry promises
+      // full quality to every later hit.
+      if (quality[m] == ServedQuality::kFull && !cached[s]) {
+        svc->InsertLocked(buckets[m], pits[m]);
+        cached[s] = 1;
       }
     }
-    for (size_t i = 0; i < n; ++i) {
-      if (resolved[i]) continue;
-      size_t k = miss_slot.at(buckets[i]);
-      quality[i] = served.quality[k];
-      if (quality[i] == ServedQuality::kFallback) {
-        fallback_minutes[i] = served.minutes[k];
-      } else {
-        pits[i] = served.pits[k];
+    // Ladder tail for the samples stage 1 skipped or failed: a cached PiT
+    // from a neighboring time-of-day bucket, else the fallback estimate.
+    for (size_t m : member[w]) {
+      if (quality[m] == ServedQuality::kFallback &&
+          svc->LookupNeighborLocked(buckets[m], &pits[m])) {
+        quality[m] = ServedQuality::kCachedNeighbor;
       }
-      resolved[i] = 1;
     }
   }
 
   // One batched stage-2 pass over every query that has a PiT (all of them
   // unless some fell through to kFallback, which carries no PiT).
   std::vector<size_t> with_pit;
+  std::vector<Pit> est_pits;
+  std::vector<OdtInput> est_odts;
   with_pit.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (quality[i] != ServedQuality::kFallback) with_pit.push_back(i);
+  est_pits.reserve(n);
+  est_odts.reserve(n);
+  for (size_t m = 0; m < n; ++m) {
+    if (quality[m] == ServedQuality::kFallback) continue;
+    with_pit.push_back(m);
+    est_pits.push_back(pits[m]);
+    est_odts.push_back(*odt[m]);
   }
   std::vector<double> minutes(n, 0.0);
   if (!with_pit.empty()) {
-    std::vector<Pit> est_pits;
-    std::vector<OdtInput> est_odts;
-    est_pits.reserve(with_pit.size());
-    est_odts.reserve(with_pit.size());
-    for (size_t i : with_pit) {
-      est_pits.push_back(pits[i]);
-      est_odts.push_back(odts[i]);
-    }
     Stopwatch stage2_sw;
     std::vector<double> est;
     {
-      std::lock_guard<std::mutex> olock(oracle_mu_);
-      est = oracle_->EstimateFromPits(est_pits, est_odts);
+      std::lock_guard<std::mutex> olock(lead->oracle_mu_);
+      est = lead->oracle_->EstimateFromPits(est_pits, est_odts);
     }
     if (opts.timing != nullptr) {
       opts.timing->stage2_us = stage2_sw.ElapsedSeconds() * 1e6;
     }
-    for (size_t k = 0; k < with_pit.size(); ++k) minutes[with_pit[k]] = est[k];
+    for (size_t j = 0; j < with_pit.size(); ++j) minutes[with_pit[j]] = est[j];
   }
-  std::vector<DotEstimate> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    RecordQuality(quality[i]);
-    double m = quality[i] == ServedQuality::kFallback ? fallback_minutes[i]
-                                                      : minutes[i];
-    out.push_back(DotEstimate{m, std::move(pits[i]), quality[i]});
+  for (size_t w = 0; w < waves.size(); ++w) {
+    OracleService* svc = waves[w]->service;
+    std::vector<DotEstimate>& out = waves[w]->estimates;
+    out.clear();
+    out.reserve(member[w].size());
+    for (size_t m : member[w]) {
+      svc->RecordQuality(quality[m]);
+      double est = quality[m] == ServedQuality::kFallback
+                       ? svc->FallbackMinutes(*odt[m])
+                       : minutes[m];
+      out.push_back(DotEstimate{est, std::move(pits[m]), quality[m]});
+    }
+    if (opts.stage1_failed != nullptr && waves[w]->stage1_failed) {
+      *opts.stage1_failed = true;
+    }
+    svc->metrics_.batch_latency_us->Observe(sw.ElapsedSeconds() * 1e6);
   }
-  metrics_.batch_latency_us->Observe(sw.ElapsedSeconds() * 1e6);
-  return out;
+  return Status::OK();
 }
 
 Result<std::vector<DotEstimate>> OracleService::QueryDegraded(
@@ -552,11 +620,8 @@ Result<std::vector<DotEstimate>> OracleService::QueryDegraded(
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     RecordQuality(quality[i]);
-    double m = quality[i] == ServedQuality::kFallback
-                   ? (config_.fallback_estimator
-                          ? config_.fallback_estimator(odts[i])
-                          : oracle_->prior_mean_minutes())
-                   : minutes[i];
+    double m = quality[i] == ServedQuality::kFallback ? FallbackMinutes(odts[i])
+                                                      : minutes[i];
     out.push_back(DotEstimate{m, std::move(pits[i]), quality[i]});
   }
   metrics_.batch_latency_us->Observe(sw.ElapsedSeconds() * 1e6);

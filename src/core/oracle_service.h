@@ -9,7 +9,10 @@
 // bucket and denoised in a single batched reverse-diffusion pass, and all
 // travel times come from one batched stage-2 pass. Results are bitwise
 // identical to issuing the same queries sequentially (the diffusion
-// samplers fork one noise stream per query, in query order).
+// samplers fork one noise stream per query, in query order). QueryWaves
+// is the same wave body for several services holding one model (the
+// shards of a router, DESIGN.md §5i): each keeps its own cache, and the
+// group shares the two passes.
 //
 // The service is thread-safe: the cache and statistics are guarded by one
 // mutex and calls into the underlying DotOracle (which is stateful and not
@@ -111,6 +114,26 @@ struct OracleServiceStats {
   }
 };
 
+class OracleService;
+
+/// \brief One service's slice of a wave that several services holding the
+/// same model serve together (OracleService::QueryWaves).
+struct ServiceWave {
+  OracleService* service = nullptr;
+  std::vector<OdtInput> odts;
+  /// Each query's position in the whole wave, parallel to `odts`. Misses
+  /// are sampled in position order, so the answers equal one QueryBatch of
+  /// the whole wave on the first service's replica.
+  std::vector<size_t> positions;
+
+  // Outputs of QueryWaves.
+  std::vector<DotEstimate> estimates;  ///< one per query, in `odts` order
+  /// Stage 1 failed for a sample one of this slice's queries needed (see
+  /// QueryOptions::stage1_failed); other slices' failures do not count.
+  bool stage1_failed = false;
+  int64_t cache_hits = 0;  ///< queries answered from a pre-existing entry
+};
+
 /// The query checks that need no grid: finite coordinates and a
 /// non-negative departure time. InvalidArgument names the failed check.
 /// OracleService validates with it before its service-area check, and the
@@ -134,16 +157,34 @@ class OracleService {
   /// stage-1 sampling pass, and stage 2 runs once over the whole wave.
   /// Returns one estimate per input, in input order. Stage-1 failures
   /// degrade per the ladder and never fail the wave; any invalid input
-  /// rejects the whole wave with InvalidArgument (naming the index).
+  /// rejects the whole wave with InvalidArgument (naming the index). The
+  /// one-slice case of QueryWaves.
   Result<std::vector<DotEstimate>> QueryBatch(const std::vector<OdtInput>& odts,
                                               const QueryOptions& opts = {});
+
+  /// Serves several services' slices of one wave as one wave. Each slice's
+  /// hits come from its own service's cache. The misses of all slices are
+  /// deduplicated by bucket and sampled by one stage-1 pass in wave order,
+  /// behind one deadline triage; retries and the reduced-steps round re-run
+  /// only the samples that failed. One stage-2 pass scores every answer
+  /// that has a PiT. Each service caches its own fresh full-quality PiTs
+  /// (a bucket two slices miss is sampled once and cached by both) and
+  /// serves its own ladder tail. The replicas must have equal
+  /// DotOracle::ModelDigest(): both passes run on the first slice's
+  /// replica, under its oracle lock. `opts.timing` receives the pass
+  /// times, `opts.stage1_failed` the OR over slices. An invalid query
+  /// fails the call with InvalidArgument (naming its index in its slice)
+  /// before anything is served.
+  static Status QueryWaves(const std::vector<ServiceWave*>& waves,
+                           const QueryOptions& opts = {});
 
   /// Answers a wave *without ever running stage 1* — the bounded-failover
   /// path for queries whose home shard is quarantined: an exact cached
   /// bucket serves at kFull, a neighboring time-of-day bucket at
-  /// kCachedNeighbor, everything else at kFallback. One batched stage-2
-  /// pass covers every query that found a PiT. Never trains, never samples,
-  /// so it is safe to call against a shard whose model is poisoned.
+  /// kCachedNeighbor, everything else at kFallback, so the kFull answers
+  /// are exactly the cache hits. One batched stage-2 pass covers every
+  /// query that found a PiT. Never trains, never samples, so it is safe to
+  /// call against a shard whose model is poisoned.
   Result<std::vector<DotEstimate>> QueryDegraded(
       const std::vector<OdtInput>& odts);
 
@@ -162,18 +203,17 @@ class OracleService {
     std::list<int64_t>::iterator lru_it;  // position in lru_ (front = MRU)
   };
 
-  /// Outcome of serving a set of cache misses through the ladder. The
-  /// vectors are parallel to the misses; `pits[i]` is meaningful iff
-  /// `quality[i] != kFallback`, `minutes[i]` iff it is. `fresh` marks pits
-  /// produced by a stage-1 pass in this call (cacheable when kFull).
+  /// Stage-1 outcome for a set of cache misses, parallel to the misses:
+  /// `quality[i]` is kFull or kReducedSteps when `pits[i]` was sampled, and
+  /// kFallback when stage 1 skipped or failed the miss (the caller serves
+  /// its ladder tail).
   struct MissServe {
     std::vector<Pit> pits;
-    std::vector<double> minutes;
     std::vector<ServedQuality> quality;
-    bool fresh = false;
-    /// Stage-1 inference was attempted and failed (exhausted retries). Not
-    /// set by deadline-driven skips. Feeds QueryOptions::stage1_failed.
-    bool stage1_error = false;
+    /// Stage 1 was attempted for the miss and failed (retries exhausted,
+    /// non-finite sample). Not set by deadline-driven skips. Feeds
+    /// QueryOptions::stage1_failed.
+    std::vector<char> failed;
   };
 
   int64_t BucketOf(const OdtInput& odt) const;
@@ -187,20 +227,25 @@ class OracleService {
   /// service area is the grid box inflated by 1% (GPS jitter at the
   /// boundary must not reject a serviceable trip).
   Status ValidateQuery(const OdtInput& odt) const;
-  /// Stage-1 inference with bounded retry + exponential backoff on
-  /// transient (Internal) failures. Takes/releases oracle_mu_ per attempt.
-  Result<std::vector<Pit>> TryInferWithRetry(const std::vector<OdtInput>& odts,
-                                             int64_t sample_steps,
-                                             const QueryOptions& opts,
-                                             const Stopwatch& sw);
+  /// Stage-1 inference of the misses in `todo` at `sample_steps`, with
+  /// bounded retry + exponential backoff on transient (Internal) failures.
+  /// Each attempt re-runs only the misses still in `todo`; a sampled miss
+  /// gets its PiT and `level` in `out` and leaves `todo`. Takes/releases
+  /// oracle_mu_ per attempt.
+  void InferWithRetry(const std::vector<OdtInput>& odts, int64_t sample_steps,
+                      ServedQuality level, const QueryOptions& opts,
+                      const Stopwatch& sw, std::vector<size_t>* todo,
+                      MissServe* out);
   /// kCachedNeighbor lookup: a cached PiT of the same OD pair within
   /// neighbor_slot_radius time-of-day slots. Caller holds mu_.
   bool LookupNeighborLocked(int64_t bucket, Pit* pit);
-  /// Runs the degradation ladder over a set of cache misses. Never fails:
-  /// every miss comes back with a PiT or a fallback estimate.
+  /// Runs stage 1's part of the degradation ladder over a set of cache
+  /// misses: deadline triage, the full pass, then a reduced-steps round for
+  /// the misses it failed.
   MissServe ServeMisses(const std::vector<OdtInput>& miss_odts,
-                        const std::vector<int64_t>& miss_buckets,
                         const QueryOptions& opts, const Stopwatch& sw);
+  /// The estimate of last resort (kFallback).
+  double FallbackMinutes(const OdtInput& odt) const;
   /// Bumps the per-level degradation counter (no-op for kFull).
   void RecordQuality(ServedQuality q);
 

@@ -406,8 +406,12 @@ Result<std::vector<double>> DotOracle::EstimateUncertainty(
   std::vector<double> sq(odts.size(), 0.0);
   std::vector<double> cells(odts.size(), 0.0);
   for (int64_t d = 0; d < draws; ++d) {
-    DOT_ASSIGN_OR_RETURN(std::vector<Pit> pits,
-                         TryInferPits(odts, sample_steps));
+    DOT_ASSIGN_OR_RETURN(InferredPits draw, TryInferPits(odts, sample_steps));
+    if (std::find(draw.poisoned.begin(), draw.poisoned.end(), 1) !=
+        draw.poisoned.end()) {
+      return Status::Internal("stage 1 sampler produced non-finite PiT values");
+    }
+    const std::vector<Pit>& pits = draw.pits;
     std::vector<double> minutes = EstimateFromPits(pits, odts);
     for (size_t i = 0; i < minutes.size(); ++i) {
       sum[i] += minutes[i];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -75,6 +76,7 @@ Result<std::shared_ptr<OracleShard::ModelRuntime>> OracleShard::BuildRuntime(
   rt->service =
       std::make_unique<OracleService>(rt->oracle.get(), config.service);
   rt->version = version;
+  rt->digest = rt->oracle->ModelDigest();
   return rt;
 }
 
@@ -152,24 +154,19 @@ void OracleShard::OnDispatchSuccess() {
 }
 
 void OracleShard::RecordWaveMetrics(const std::vector<DotEstimate>& estimates,
-                                    OracleService* service) {
+                                    int64_t cache_hits) {
   for (const auto& e : estimates) {
     int q = static_cast<int>(e.quality);
     if (q >= 0 && q < 4) metrics_.quality[q]->Increment();
   }
-  int64_t hits = service->stats().cache_hits;
-  std::lock_guard<std::mutex> lock(state_mu_);
-  if (hits > last_cache_hits_) {
-    metrics_.cache_hits->Increment(hits - last_cache_hits_);
-  }
-  last_cache_hits_ = hits;
+  metrics_.cache_hits->Increment(cache_hits);
 }
 
-Result<std::vector<DotEstimate>> OracleShard::ServeWave(
-    const std::vector<OdtInput>& odts, const QueryOptions& opts) {
-  if (odts.empty()) return std::vector<DotEstimate>{};
-  std::lock_guard<std::mutex> serve_lock(serve_mu_);
-  std::shared_ptr<ModelRuntime> rt = CurrentRuntime();
+Status OracleShard::BeginWave(ServiceWave* wave, Pending* p) {
+  p->lock = std::unique_lock<std::mutex>(serve_mu_);
+  p->rt = CurrentRuntime();
+  wave->service = p->rt->service.get();
+  const std::vector<OdtInput>& odts = wave->odts;
   metrics_.waves->Increment();
   metrics_.queries->Increment(static_cast<int64_t>(odts.size()));
 
@@ -190,47 +187,48 @@ Result<std::vector<DotEstimate>> OracleShard::ServeWave(
   }
   if (probe) metrics_.probes->Increment();
 
-  if (ladder_only) {
-    // Quarantined and no probe due: bounded failover through the ladder,
-    // never touching the (suspect) stage-1 model.
-    Result<std::vector<DotEstimate>> r = rt->service->QueryDegraded(odts);
-    if (r.ok()) RecordWaveMetrics(*r, rt->service.get());
-    return r;
-  }
-
-  // Chaos hook: fires before the model dispatch. The global point first;
-  // an unarmed global falls through to the per-shard point so counts armed
-  // on `serve.shard_dispatch.<id>` are consumed only by this shard. The
-  // stopwatch starts before the hook so a kDelay sleep inside Fire() lands
-  // in the wave time and exercises the p95 triage.
-  Stopwatch sw;
-  fail::Action injected = fp_dispatch_->Fire();
-  if (injected == fail::Action::kOff) injected = fp_dispatch_shard_->Fire();
-  if (injected == fail::Action::kError || injected == fail::Action::kNan ||
-      injected == fail::Action::kTruncate) {
+  if (!ladder_only) {
+    // Chaos hook: fires before the model dispatch. The global point first;
+    // an unarmed global falls through to the per-shard point so counts
+    // armed on `serve.shard_dispatch.<id>` are consumed only by this shard.
+    // Its time (a kDelay sleep) is this shard's alone and lands in its
+    // wave time, which exercises the p95 triage.
+    Stopwatch sw;
+    fail::Action injected = fp_dispatch_->Fire();
+    if (injected == fail::Action::kOff) injected = fp_dispatch_shard_->Fire();
+    p->gate_us = sw.ElapsedSeconds() * 1e6;
+    if (injected != fail::Action::kError && injected != fail::Action::kNan &&
+        injected != fail::Action::kTruncate) {
+      p->dispatched = true;
+      return Status::OK();
+    }
     // The model call "crashed" (error) or returned garbage (nan): count a
-    // shard failure, then answer the wave through the ladder anyway — the
-    // failure mode quarantines the shard, it never loses requests.
+    // shard failure, then answer the share through the ladder anyway —
+    // the failure mode quarantines the shard, it never loses requests.
     OnDispatchFailure();
-    Result<std::vector<DotEstimate>> r = rt->service->QueryDegraded(odts);
-    if (r.ok()) RecordWaveMetrics(*r, rt->service.get());
-    return r;
   }
-  bool stage1_failed = false;
-  QueryOptions wave_opts = opts;
-  wave_opts.stage1_failed = &stage1_failed;
-  Result<std::vector<DotEstimate>> r = rt->service->QueryBatch(odts, wave_opts);
-  window_.Observe(sw.ElapsedSeconds() * 1e6);
-  if (!r.ok()) return r;  // invalid input: the request's fault, not health
-  if (opts.stage1_failed != nullptr) *opts.stage1_failed = stage1_failed;
-  if (stage1_failed) {
+  // A failed dispatch, or quarantined with no probe due: bounded failover
+  // through the ladder, never touching the (suspect) stage-1 model.
+  Result<std::vector<DotEstimate>> r = p->rt->service->QueryDegraded(odts);
+  if (!r.ok()) return r.status();
+  wave->estimates = std::move(*r);
+  int64_t hits = std::count_if(
+      wave->estimates.begin(), wave->estimates.end(),
+      [](const DotEstimate& e) { return e.quality == ServedQuality::kFull; });
+  RecordWaveMetrics(wave->estimates, hits);
+  return Status::OK();
+}
+
+void OracleShard::FinishWave(const ServiceWave& wave, double wave_us) {
+  window_.Observe(wave_us);
+  if (wave.stage1_failed) {
     OnDispatchFailure();
   } else {
     OnDispatchSuccess();
     // Ring of the most recently served ODs: a swap's canary warm should
     // cover the *current* hot set, not whatever was hot at startup.
     std::lock_guard<std::mutex> lock(state_mu_);
-    for (const auto& odt : odts) {
+    for (const auto& odt : wave.odts) {
       if (config_.canary_capacity <= 0) break;
       if (static_cast<int64_t>(canary_.size()) < config_.canary_capacity) {
         canary_.push_back(odt);
@@ -240,8 +238,70 @@ Result<std::vector<DotEstimate>> OracleShard::ServeWave(
       ++canary_next_;
     }
   }
-  RecordWaveMetrics(*r, rt->service.get());
-  return r;
+  RecordWaveMetrics(wave.estimates, wave.cache_hits);
+}
+
+Status OracleShard::ServeWaves(std::vector<ShardWave>* waves,
+                               const QueryOptions& opts) {
+  size_t n = waves->size();
+  std::vector<Pending> pending(n);
+  for (size_t i = 0; i < n; ++i) {
+    ShardWave& w = (*waves)[i];
+    DOT_RETURN_NOT_OK(w.shard->BeginWave(&w.wave, &pending[i]));
+  }
+
+  // Shares that passed their gate, grouped by model digest (a SwapAll in
+  // progress briefly leaves two groups). Each group is one wave body on
+  // its first shard's replica.
+  StageTiming total;
+  std::vector<double> pass_us(n, 0);
+  std::vector<char> served(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (!pending[i].dispatched || served[i]) continue;
+    std::vector<ServiceWave*> group;
+    std::vector<size_t> members;
+    for (size_t j = i; j < n; ++j) {
+      if (pending[j].dispatched && !served[j] &&
+          pending[j].rt->digest == pending[i].rt->digest) {
+        group.push_back(&(*waves)[j].wave);
+        members.push_back(j);
+        served[j] = 1;
+      }
+    }
+    StageTiming timing;
+    QueryOptions group_opts = opts;
+    group_opts.timing = &timing;
+    group_opts.stage1_failed = nullptr;
+    Stopwatch sw;
+    DOT_RETURN_NOT_OK(OracleService::QueryWaves(group, group_opts));
+    for (size_t j : members) pass_us[j] = sw.ElapsedSeconds() * 1e6;
+    total.stage1_us += timing.stage1_us;
+    total.stage2_us += timing.stage2_us;
+  }
+
+  bool stage1_failed = false;
+  for (size_t i = 0; i < n; ++i) {
+    if (!pending[i].dispatched) continue;
+    ShardWave& w = (*waves)[i];
+    w.shard->FinishWave(w.wave, pending[i].gate_us + pass_us[i]);
+    stage1_failed = stage1_failed || w.wave.stage1_failed;
+  }
+  if (opts.timing != nullptr) *opts.timing = total;
+  if (opts.stage1_failed != nullptr) *opts.stage1_failed = stage1_failed;
+  return Status::OK();
+}
+
+Result<std::vector<DotEstimate>> OracleShard::ServeWave(
+    const std::vector<OdtInput>& odts, const QueryOptions& opts) {
+  if (odts.empty()) return std::vector<DotEstimate>{};
+  std::vector<ShardWave> waves(1);
+  waves[0].shard = this;
+  waves[0].wave.odts = odts;
+  waves[0].wave.positions.resize(odts.size());
+  std::iota(waves[0].wave.positions.begin(), waves[0].wave.positions.end(),
+            size_t{0});
+  DOT_RETURN_NOT_OK(ServeWaves(&waves, opts));
+  return std::move(waves[0].wave.estimates);
 }
 
 Status OracleShard::HotSwap() {
@@ -297,7 +357,6 @@ Status OracleShard::HotSwap() {
     consecutive_failures_ = 0;
     probe_backoff_ms_ = 0;
     next_probe_ms_ = 0;
-    last_cache_hits_ = 0;  // the new service's hit counter starts at zero
     ++stats_.swaps;
     SetHealthLocked(ShardHealth::kHealthy);
   }

@@ -2,9 +2,14 @@
 // OracleShard owns one model replica (a DotOracle loaded from a sealed
 // checkpoint), one OracleService (its own LRU cache + degradation ladder),
 // and its own health state. The router (serve/router.h) partitions query
-// waves across shards by OD-pair hash; each shard serves its sub-wave
-// serially, so N shards give the process N independent serving lanes with
-// independent failure domains.
+// waves across shards by OD-pair hash and hands the shares to ServeWaves.
+// Before the model dispatch each shard runs its own gate (quarantine,
+// probe, failpoints); shards that pass and hold the same model (equal
+// DotOracle::ModelDigest) then share one stage-1 and one stage-2 pass
+// (OracleService::QueryWaves), each answering from and filling its own
+// cache; after it each shard does its own health bookkeeping. Shards are
+// cache and failure domains, not concurrency lanes: a wave runs on the
+// caller's thread, and a split wave still samples its misses as one batch.
 //
 // Health state machine:
 //
@@ -39,8 +44,10 @@
 // Fault injection: the `serve.shard_dispatch` failpoint (and its per-shard
 // variant `serve.shard_dispatch.<id>`) fires before each full-path
 // dispatch. `error`/`nan` simulate a crashed / poisoned model call (the
-// wave is answered through the ladder and counts as a shard failure);
-// `delay` injects latency ahead of the dispatch (exercises the p95 triage).
+// shard's share is answered through the ladder and counts as a shard
+// failure); `delay` injects latency ahead of the dispatch (exercises the
+// p95 triage). A stage-1 failure inside a shared pass counts only against
+// the shards whose queries needed the failed samples.
 
 #ifndef DOT_CORE_SHARD_H_
 #define DOT_CORE_SHARD_H_
@@ -127,6 +134,16 @@ struct ShardStatus {
   double next_probe_in_ms = 0;
 };
 
+class OracleShard;
+
+/// \brief One shard's share of a wave (OracleShard::ServeWaves): the
+/// queries with their wave positions, and after the call their answers.
+/// ServeWaves sets `wave.service` to the replica's service it pinned.
+struct ShardWave {
+  OracleShard* shard = nullptr;
+  ServiceWave wave;
+};
+
 /// \brief One worker shard: model replica + cache + health machine.
 class OracleShard {
  public:
@@ -135,10 +152,20 @@ class OracleShard {
   static Result<std::unique_ptr<OracleShard>> Create(ModelFactory factory,
                                                      ShardConfig config);
 
-  /// Serves one sub-wave (the router's per-shard slice). Never loses a
-  /// request: failures and quarantine serve degraded-tagged answers through
-  /// the ladder. Only invalid input / an untrained model error. Waves on
-  /// one shard are serialized (the shard's thread budget is one wave).
+  /// Serves one wave split across distinct shards, on the calling thread.
+  /// Gates run in `waves` order; each shard's wave lock is held from its
+  /// gate to its finish, so callers must list shards in one global order
+  /// (the router's shard index). Shares that pass their gate are grouped
+  /// by model digest, and each group is one OracleService::QueryWaves
+  /// whose passes run on the group's first replica. Never loses a request:
+  /// failures and quarantine serve degraded-tagged answers through the
+  /// ladder. Only invalid input / an untrained model error, failing the
+  /// whole wave. `opts.timing` receives the summed pass times,
+  /// `opts.stage1_failed` the OR over shards.
+  static Status ServeWaves(std::vector<ShardWave>* waves,
+                           const QueryOptions& opts);
+
+  /// The one-shard case of ServeWaves.
   Result<std::vector<DotEstimate>> ServeWave(const std::vector<OdtInput>& odts,
                                              const QueryOptions& opts);
 
@@ -161,11 +188,22 @@ class OracleShard {
  private:
   OracleShard(ShardConfig config);
 
-  /// The versioned model runtime a wave pins for its whole duration.
+  /// The versioned model runtime a wave pins for its whole duration. Its
+  /// model never changes after BuildRuntime, so the digest is computed
+  /// once there.
   struct ModelRuntime {
     std::shared_ptr<DotOracle> oracle;
     std::unique_ptr<OracleService> service;
     int64_t version = 0;
+    uint64_t digest = 0;  ///< oracle->ModelDigest()
+  };
+
+  /// A shard's state between its gate and its finish in ServeWaves.
+  struct Pending {
+    std::unique_lock<std::mutex> lock;  // serve_mu_, held for the wave
+    std::shared_ptr<ModelRuntime> rt;   // pinned before the gate
+    bool dispatched = false;  ///< passed the gate: the full path serves it
+    double gate_us = 0;       ///< dispatch failpoint time (kDelay sleeps)
   };
 
   double NowMs() const;
@@ -176,14 +214,23 @@ class OracleShard {
       const ModelFactory& factory, const ShardConfig& config,
       int64_t version);
 
+  /// The phase before the model dispatch: takes the wave lock, pins the
+  /// runtime, then runs the quarantine/probe gate and the dispatch
+  /// failpoints. A ladder-only or failed share is answered here through
+  /// QueryDegraded; otherwise `p->dispatched` is set.
+  Status BeginWave(ServiceWave* wave, Pending* p);
+  /// The phase after a dispatched share was served: the p95 window, the
+  /// health bookkeeping, the canary ring and the wave metrics.
+  void FinishWave(const ServiceWave& wave, double wave_us);
+
   /// Health bookkeeping after a full-path wave. Caller holds serve_mu_.
   void OnDispatchFailure();
   void OnDispatchSuccess();
   void SetHealthLocked(ShardHealth h);  // caller holds state_mu_
 
-  /// Tallies quality labels + the cache-hit delta of a served wave.
+  /// Tallies quality labels and the wave's cache hits.
   void RecordWaveMetrics(const std::vector<DotEstimate>& estimates,
-                         OracleService* service);
+                         int64_t cache_hits);
 
   ShardConfig config_;
   ModelFactory factory_;
@@ -215,7 +262,7 @@ class OracleShard {
   /// window must reset on swap.
   obs::RollingHistogram window_;
 
-  mutable std::mutex serve_mu_;  // serializes waves on this shard
+  mutable std::mutex serve_mu_;  // serializes waves (held by Pending::lock)
   mutable std::mutex model_mu_;  // guards runtime_ (the swap point)
   std::shared_ptr<ModelRuntime> runtime_;
   std::mutex swap_mu_;  // serializes HotSwap calls
@@ -225,7 +272,6 @@ class OracleShard {
   int64_t consecutive_failures_ = 0;
   double probe_backoff_ms_ = 0;
   double next_probe_ms_ = 0;  // clock time the next probe is due
-  int64_t last_cache_hits_ = 0;  // service cache_hits at last wave
   std::vector<OdtInput> canary_;  // ring: most recent ODs for swap warmup
   size_t canary_next_ = 0;        // ring write cursor
   ShardStatus stats_;

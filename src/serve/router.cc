@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "util/logging.h"
@@ -103,83 +102,28 @@ OracleShard* ShardRouter::ShardForQuery(const OdtInput& odt) {
 Result<std::vector<DotEstimate>> ShardRouter::Route(
     const std::vector<OdtInput>& odts, const QueryOptions& opts) {
   if (odts.empty()) return std::vector<DotEstimate>{};
-  size_t n = odts.size();
 
-  // Split the wave by owning shard, preserving each member's wave index
-  // for the merge.
-  std::vector<std::vector<size_t>> member_idx(shards_.size());
-  for (size_t i = 0; i < n; ++i) {
-    member_idx[index_by_id_.at(ring_.ShardFor(OdKey(odts[i])))].push_back(i);
+  // Split the wave by owning shard, in shard-index order (the order
+  // ServeWaves takes the shards' wave locks in), keeping each member's
+  // wave position for the shared passes and the merge.
+  std::vector<ShardWave> waves(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) waves[s].shard = shards_[s].get();
+  for (size_t i = 0; i < odts.size(); ++i) {
+    ServiceWave& w = waves[index_by_id_.at(ring_.ShardFor(OdKey(odts[i])))].wave;
+    w.odts.push_back(odts[i]);
+    w.positions.push_back(i);
   }
+  std::erase_if(waves, [](const ShardWave& w) { return w.wave.odts.empty(); });
 
-  struct SubWave {
-    size_t shard = 0;
-    std::vector<size_t> idx;
-    std::vector<OdtInput> inputs;
-    Result<std::vector<DotEstimate>> result =
-        Status::Internal("sub-wave never served");
-    StageTiming timing;
-    bool stage1_failed = false;
-  };
-  std::vector<SubWave> subs;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (member_idx[s].empty()) continue;
-    SubWave sub;
-    sub.shard = s;
-    sub.idx = std::move(member_idx[s]);
-    sub.inputs.reserve(sub.idx.size());
-    for (size_t i : sub.idx) sub.inputs.push_back(odts[i]);
-    subs.push_back(std::move(sub));
-  }
-
-  auto serve_one = [&](SubWave* sub) {
-    QueryOptions sub_opts = opts;
-    sub_opts.timing = &sub->timing;
-    sub_opts.stage1_failed = &sub->stage1_failed;
-    sub->result = shards_[sub->shard]->ServeWave(sub->inputs, sub_opts);
-  };
-
-  // Dispatch: the largest sub-wave runs inline on the caller's thread
-  // (whoever pays the most work pays no thread spawn); the rest get one
-  // thread each. Shards serialize waves internally, so per-shard
-  // concurrency stays one regardless of how the batcher calls us.
-  size_t largest = 0;
-  for (size_t k = 1; k < subs.size(); ++k) {
-    if (subs[k].idx.size() > subs[largest].idx.size()) largest = k;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(subs.size());
-  for (size_t k = 0; k < subs.size(); ++k) {
-    if (k == largest) continue;
-    workers.emplace_back(serve_one, &subs[k]);
-  }
-  serve_one(&subs[largest]);
-  for (auto& w : workers) w.join();
-
-  // Merge. Any sub-wave error fails the whole wave (the batcher answers
-  // every member with that error — exactly one answer per request either
-  // way).
-  for (const auto& sub : subs) {
-    if (!sub.result.ok()) return sub.result.status();
-  }
-  std::vector<DotEstimate> out(n);
-  bool any_stage1_failed = false;
-  double stage1_us = 0, stage2_us = 0;
-  for (auto& sub : subs) {
-    std::vector<DotEstimate>& got = *sub.result;
-    for (size_t k = 0; k < sub.idx.size(); ++k) {
-      out[sub.idx[k]] = std::move(got[k]);
+  // Any share's error fails the whole wave (the batcher answers every
+  // member with it — exactly one answer per request either way).
+  DOT_RETURN_NOT_OK(OracleShard::ServeWaves(&waves, opts));
+  std::vector<DotEstimate> out(odts.size());
+  for (ShardWave& w : waves) {
+    for (size_t k = 0; k < w.wave.positions.size(); ++k) {
+      out[w.wave.positions[k]] = std::move(w.wave.estimates[k]);
     }
-    any_stage1_failed = any_stage1_failed || sub.stage1_failed;
-    // Sub-waves overlap in time; the max is the wave's critical path.
-    stage1_us = std::max(stage1_us, sub.timing.stage1_us);
-    stage2_us = std::max(stage2_us, sub.timing.stage2_us);
   }
-  if (opts.timing != nullptr) {
-    opts.timing->stage1_us = stage1_us;
-    opts.timing->stage2_us = stage2_us;
-  }
-  if (opts.stage1_failed != nullptr) *opts.stage1_failed = any_stage1_failed;
   return out;
 }
 

@@ -1,9 +1,11 @@
 // Shard router (DESIGN.md §5i): sits between the DynamicBatcher and the
 // worker shards. Each wave the batcher forms is split by OD-pair hash on a
-// consistent-hash ring, the per-shard sub-waves are served concurrently
-// (one std::thread per extra shard; the largest sub-wave runs inline on
-// the caller), and the answers are merged back in input order — the
-// batcher cannot tell it is talking to N shards instead of one service.
+// consistent-hash ring and served on the caller's thread by
+// OracleShard::ServeWaves: every shard gates its own share, the shares on
+// one model share one stage-1 and one stage-2 pass while each shard keeps
+// its own cache, and the answers are merged back in input order — the
+// batcher cannot tell it is talking to N shards instead of one service,
+// and the shard count does not change the answers.
 //
 // The partition key hashes the *quantized OD pair* (origin + destination
 // at ~100 m resolution) and deliberately excludes the departure time: all
@@ -66,10 +68,10 @@ class ShardRouter {
   explicit ShardRouter(std::vector<std::unique_ptr<OracleShard>> shards,
                        int64_t vnodes_per_shard = 256);
 
-  /// Splits the wave by shard, serves the sub-waves concurrently, merges
-  /// the answers in input order. Per-request semantics match
+  /// Splits the wave by shard, serves it through OracleShard::ServeWaves,
+  /// merges the answers in input order. Per-request semantics match
   /// OracleService::QueryBatch: exactly one answer per input, stage
-  /// timings merged by max across sub-waves, stage1_failed OR-ed.
+  /// timings summed over the shared passes, stage1_failed OR-ed.
   Result<std::vector<DotEstimate>> Route(const std::vector<OdtInput>& odts,
                                          const QueryOptions& opts);
 

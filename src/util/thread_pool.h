@@ -1,8 +1,9 @@
 // Fixed-size thread pool with a fork-join ParallelFor. The tensor kernels
 // (conv/im2col, GEMM) split single ops over it, and the diffusion samplers
 // split a batch into slices that each run their whole reverse trajectory as
-// one chunk. Many callers share the process-wide pool at once: the shards
-// serving concurrent sub-waves, and a fine-tune round beside them.
+// one chunk. Many callers share the process-wide pool at once: the serving
+// wave (one sample-parallel pass for every shard it spans), and a fine-tune
+// round beside it.
 
 #ifndef DOT_UTIL_THREAD_POOL_H_
 #define DOT_UTIL_THREAD_POOL_H_

@@ -11,8 +11,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -134,6 +136,47 @@ class ChaosFixture : public ::testing::Test {
       EXPECT_TRUE(std::isfinite(e.minutes));
       EXPECT_GT(e.minutes, 0.0);
     }
+  }
+
+  /// Same cache bucket: origin cell, destination cell and time-of-day slot.
+  static bool SameBucket(const OdtInput& a, const OdtInput& b) {
+    auto slot = [](const OdtInput& q) {
+      return SecondsOfDay(q.departure_time) * OracleServiceConfig().tod_slots /
+             86400;
+    };
+    return grid_->Locate(a.origin) == grid_->Locate(b.origin) &&
+           grid_->Locate(a.destination) == grid_->Locate(b.destination) &&
+           slot(a) == slot(b);
+  }
+
+  /// A copy of `odt` with its origin moved by up to ~2 km of latitude in
+  /// ~55 m steps, staying in its grid cell (so in its cache bucket), that
+  /// `router` sends to another shard. False when no step gets there.
+  static bool TwinOnOtherShard(serve::ShardRouter* router,
+                               const OdtInput& odt, OdtInput* twin) {
+    for (int k = 1; k <= 40; ++k) {
+      for (double sign : {-1.0, 1.0}) {
+        OdtInput t = odt;
+        t.origin.lat += sign * k * 0.0005;
+        if (SameBucket(t, odt) &&
+            router->ShardForQuery(t) != router->ShardForQuery(odt)) {
+          *twin = t;
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  static void ExpectBitwiseEqual(const DotEstimate& a, const DotEstimate& b) {
+    EXPECT_EQ(a.minutes, b.minutes);
+    EXPECT_EQ(a.quality, b.quality);
+    const Tensor& ta = a.pit.tensor();
+    const Tensor& tb = b.pit.tensor();
+    ASSERT_EQ(ta.numel(), tb.numel());
+    EXPECT_EQ(std::memcmp(ta.data(), tb.data(),
+                          static_cast<size_t>(ta.numel()) * sizeof(float)),
+              0);
   }
 
   static City* city_;
@@ -481,6 +524,135 @@ TEST_F(ChaosFixture, PerShardCountersAreLabeledPerShard) {
   EXPECT_NE(text.find("dot_shard_quality_total{shard=\"m0\",level=\"full\"}"),
             std::string::npos);
   EXPECT_NE(text.find("dot_shard_health{shard=\"m0\"}"), std::string::npos);
+}
+
+// ---- Shared passes across shards ------------------------------------------
+
+TEST_F(ChaosFixture, RoutedColdWaveMatchesOneQueryBatchBitwise) {
+  serve::ShardRouter router = MakeRouter(2, "b");
+  // A cold wave over both shards, plus a twin of one member: same cache
+  // bucket, other shard. Both shards miss that bucket.
+  std::vector<OdtInput> wave = Wave(0, 8);
+  OdtInput twin;
+  size_t twinned = 0;
+  while (twinned < wave.size() &&
+         !TwinOnOtherShard(&router, wave[twinned], &twin)) {
+    ++twinned;
+  }
+  ASSERT_LT(twinned, wave.size()) << "no member has a twin on another shard";
+  wave.push_back(twin);
+  std::vector<int> per_shard(2, 0);
+  for (const OdtInput& odt : wave) {
+    ++per_shard[router.ShardForQuery(odt) == router.shard(0) ? 0 : 1];
+  }
+  ASSERT_GT(per_shard[0], 0);
+  ASSERT_GT(per_shard[1], 0);
+
+  Result<std::vector<DotEstimate>> routed = router.Route(wave, {});
+  ExpectAllServed(routed, wave.size());
+
+  // The shard count does not change the answers: one QueryBatch of the
+  // same wave on a fresh replica gives the same bits.
+  Result<std::unique_ptr<DotOracle>> replica = CheckpointFactory()();
+  ASSERT_TRUE(replica.ok());
+  OracleService single((*replica).get(), FastShardConfig("x").service);
+  Result<std::vector<DotEstimate>> direct = single.QueryBatch(wave);
+  ExpectAllServed(direct, wave.size());
+  for (size_t i = 0; i < wave.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    ExpectBitwiseEqual((*routed)[i], (*direct)[i]);
+  }
+
+  // The bucket was sampled once and cached by both shards: each side of
+  // the twin pair is now a hit on its own shard.
+  for (size_t i : {twinned, wave.size() - 1}) {
+    obs::Counter* hits = obs::MetricsRegistry::Get().GetCounter(
+        "dot_shard_cache_hits_total",
+        {{"shard", router.ShardForQuery(wave[i])->id()}});
+    int64_t before = hits->Value();
+    Result<std::vector<DotEstimate>> again = router.Route({wave[i]}, {});
+    ExpectAllServed(again, 1);
+    EXPECT_EQ(hits->Value(), before + 1);
+    ExpectBitwiseEqual((*again)[0], (*routed)[i]);
+  }
+}
+
+TEST_F(ChaosFixture, PoisonedSampleFailsOnlyTheShardThatNeededIt) {
+  serve::ShardRouter router = MakeRouter(2, "q");
+  // A cold wave over both shards whose first member has a bucket of its
+  // own, so the shared pass samples it at batch position 0 and nobody
+  // else needs that sample.
+  std::vector<OdtInput> wave;
+  for (int start = 0; start < 200 && wave.empty(); start += 6) {
+    std::vector<OdtInput> w = Wave(start, 6);
+    bool alone = true;
+    bool both_shards = false;
+    for (size_t i = 1; i < w.size(); ++i) {
+      alone = alone && !SameBucket(w[0], w[i]);
+      both_shards = both_shards ||
+                    router.ShardForQuery(w[i]) != router.ShardForQuery(w[0]);
+    }
+    if (alone && both_shards) wave = w;
+  }
+  ASSERT_FALSE(wave.empty());
+  OracleShard* owner = router.ShardForQuery(wave[0]);
+
+  // `nan(1)` poisons batch position 0 of every sampler call, so the retry
+  // and the reduced-steps round fail that sample again; the rest are fine.
+  fail::Arm("diffusion.sample", fail::Action::kNan, /*count=*/-1, /*arg=*/1);
+  bool failed = false;
+  QueryOptions opts;
+  opts.stage1_failed = &failed;
+  Result<std::vector<DotEstimate>> r = router.Route(wave, opts);
+  ExpectAllServed(r, wave.size());
+  EXPECT_TRUE(failed);
+  EXPECT_NE((*r)[0].quality, ServedQuality::kFull);
+  for (size_t i = 1; i < wave.size(); ++i) {
+    EXPECT_EQ((*r)[i].quality, ServedQuality::kFull) << "query " << i;
+  }
+  for (const ShardStatus& s : router.Statuses()) {
+    EXPECT_EQ(s.failures, s.id == owner->id() ? 1 : 0) << s.id;
+    EXPECT_EQ(s.health, ShardHealth::kHealthy) << s.id;
+  }
+
+  // A bare `nan` still poisons the whole pass: every query degrades and
+  // both shards record the failure.
+  fail::Arm("diffusion.sample", fail::Action::kNan);
+  serve::ShardRouter fresh = MakeRouter(2, "q");
+  Result<std::vector<DotEstimate>> all = fresh.Route(wave, {});
+  ExpectAllServed(all, wave.size());
+  for (const DotEstimate& e : *all) {
+    EXPECT_NE(e.quality, ServedQuality::kFull);
+  }
+  for (const ShardStatus& s : fresh.Statuses()) {
+    EXPECT_EQ(s.failures, 1) << s.id;
+  }
+}
+
+// ---- Hit counter across a hot swap ----------------------------------------
+
+TEST_F(ChaosFixture, HitCounterCountsTheWaveAcrossAHotSwap) {
+  std::unique_ptr<OracleShard> shard = MakeShard(FastShardConfig("h0"));
+  obs::Counter* hits = obs::MetricsRegistry::Get().GetCounter(
+      "dot_shard_cache_hits_total", {{"shard", "h0"}});
+  std::vector<OdtInput> wave = Wave(0, 4);
+  ExpectAllServed(shard->ServeWave(wave, {}), 4);  // the fill
+  int64_t before = hits->Value();
+  ExpectAllServed(shard->ServeWave(wave, {}), 4);  // 4 hits
+  EXPECT_EQ(hits->Value(), before + 4);
+
+  // The same wave again, held 300 ms at the dispatch hook with the old
+  // runtime pinned, while a hot swap publishes a new one.
+  fail::Arm("serve.shard_dispatch.h0", fail::Action::kDelay, /*count=*/1,
+            /*arg=*/300.0);
+  Result<std::vector<DotEstimate>> delayed = Status::Internal("not served");
+  std::thread held([&] { delayed = shard->ServeWave(wave, {}); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Status swapped = shard->HotSwap();
+  held.join();
+  EXPECT_TRUE(swapped.ok()) << swapped.ToString();
+  ExpectAllServed(delayed, 4);
+  EXPECT_EQ(hits->Value(), before + 8);  // 4 more, not the old lifetime's
 }
 
 }  // namespace
