@@ -14,9 +14,6 @@ export DOT_BENCH_MEMORY_JSON=${DOT_BENCH_MEMORY_JSON:-BENCH_memory.json}
 # bench_serving_load dumps the socket front-end throughput/latency sweep
 # (closed loop + open-loop Poisson rates, wave sizes, degradation mix).
 export DOT_BENCH_SERVING_LOAD_JSON=${DOT_BENCH_SERVING_LOAD_JSON:-BENCH_serving.json}
-# bench_quant dumps the int8-vs-fp32 GEMM throughput table and the demo
-# oracle MAE gate; the binary exits non-zero when a gate fails.
-export DOT_BENCH_QUANT_JSON=${DOT_BENCH_QUANT_JSON:-BENCH_quant.json}
 # bench_ablation_sampler dumps MAE/RMSE/latency per DDIM step count.
 export DOT_BENCH_SAMPLER_JSON=${DOT_BENCH_SAMPLER_JSON:-BENCH_sampler.json}
 # bench_adaptation dumps incident staleness curves before/after the

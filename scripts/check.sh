@@ -40,15 +40,7 @@
 #      keep answering, recover it after the fault clears, hot-swap every
 #      shard via POST /swapz, export well-formed per-shard labeled
 #      metrics, and drain with lost=0;
-#  11. int8 quantized-path gate (DESIGN.md §5j): the full tier1 suite plus
-#      the quantization-primitive tests and the differential GEMM wall run
-#      under ASan+UBSan for DOT_GEMM_PRECISION=fp32 and =int8 across every
-#      DOT_GEMM_KERNEL (the int8 packing/microkernel/dequant code paths are
-#      all sanitizer-exercised), then a loopback dot_server smoke with
-#      DOT_GEMM_PRECISION=int8 whose /metrics export must carry live
-#      dot_gemm_quant_* series (the quantized path actually served, the
-#      weight cache engaged) and still pass the Prometheus lint;
-#  12. continual adaptation gate (DESIGN.md §5k): the trainer-parity and
+#  11. continual adaptation gate (DESIGN.md §5k): the trainer-parity and
 #      adaptation suites (uncertainty deciles, fine-tune guards) under
 #      ASan+UBSan, the fine-tune -> re-seal -> hot-swap chaos case under
 #      TSan (the fleet serves while the round publishes), then a live
@@ -68,10 +60,10 @@ FAILED=0
 echo "== configure + build ($BUILD, -DDOT_SANITIZE=thread) =="
 cmake -B "$BUILD" -S . -DDOT_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   || exit 1
-cmake --build "$BUILD" -j || exit 1
+cmake --build "$BUILD" -j "$(nproc)" || exit 1
 
 echo "== tier1 tests under tsan =="
-if ! ctest --test-dir "$BUILD" -L tier1 --output-on-failure -j; then
+if ! ctest --test-dir "$BUILD" -L tier1 --output-on-failure -j "$(nproc)"; then
   echo "CHECK FAILED: tier1 tests"
   FAILED=1
 fi
@@ -114,10 +106,11 @@ done
 echo "== configure + build ($BUILD_ASAN, -DDOT_SANITIZE=address,undefined) =="
 cmake -B "$BUILD_ASAN" -S . -DDOT_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo || exit 1
-cmake --build "$BUILD_ASAN" -j || exit 1
+cmake --build "$BUILD_ASAN" -j "$(nproc)" || exit 1
 
 echo "== tier1 tests under asan+ubsan =="
-if ! ctest --test-dir "$BUILD_ASAN" -L tier1 --output-on-failure -j; then
+if ! ctest --test-dir "$BUILD_ASAN" -L tier1 --output-on-failure \
+    -j "$(nproc)"; then
   echo "CHECK FAILED: tier1 tests (asan+ubsan)"
   FAILED=1
 fi
@@ -131,8 +124,8 @@ fi
 echo "== GEMM kernel test matrix under asan+ubsan =="
 for KERNEL in naive blocked simd; do
   echo "-- DOT_GEMM_KERNEL=$KERNEL --"
-  if ! DOT_GEMM_KERNEL="$KERNEL" ctest --test-dir "$BUILD_ASAN" -L tier1 -j \
-      > /dev/null; then
+  if ! DOT_GEMM_KERNEL="$KERNEL" ctest --test-dir "$BUILD_ASAN" -L tier1 \
+      -j "$(nproc)" > /dev/null; then
     echo "CHECK FAILED: tier1 tests (DOT_GEMM_KERNEL=$KERNEL)"
     FAILED=1
   fi
@@ -147,7 +140,7 @@ echo "== storage pool matrix under asan+ubsan =="
 # Pool ON with poison-on-return: stale-read bugs that recycling could mask
 # become NaNs; the tier1 numeric assertions + storage_test catch them.
 if ! DOT_TENSOR_POOL=on DOT_POOL_POISON=1 \
-    ctest --test-dir "$BUILD_ASAN" -L tier1 -j > /dev/null; then
+    ctest --test-dir "$BUILD_ASAN" -L tier1 -j "$(nproc)" > /dev/null; then
   echo "CHECK FAILED: tier1 tests (DOT_TENSOR_POOL=on, poison)"
   FAILED=1
 fi
@@ -158,7 +151,7 @@ if ! DOT_TENSOR_POOL=on DOT_POOL_POISON=1 "$BUILD_ASAN"/tests/storage_test \
 fi
 # Pool OFF: every buffer is a fresh heap allocation freed eagerly, so ASan
 # sees true lifetimes (no free-list parking) across the whole tier1 suite.
-if ! DOT_TENSOR_POOL=off ctest --test-dir "$BUILD_ASAN" -L tier1 -j \
+if ! DOT_TENSOR_POOL=off ctest --test-dir "$BUILD_ASAN" -L tier1 -j "$(nproc)" \
     > /dev/null; then
   echo "CHECK FAILED: tier1 tests (DOT_TENSOR_POOL=off)"
   FAILED=1
@@ -465,101 +458,6 @@ else
   fi
 fi
 rm -rf "$CHAOS_DIR"
-
-echo "== int8 quantized GEMM path under asan+ubsan =="
-# Precision matrix: the whole tier1 suite must pass with the quantized path
-# live (inference forwards take it; recording forwards pin themselves to
-# fp32 by the grad-mode contract), and the quantization primitives + the
-# differential wall run explicitly under both precisions x every kernel so
-# the int8 packing, microkernel, dequant, and cache code paths are all
-# sanitizer-exercised.
-for PRECISION in fp32 int8; do
-  echo "-- DOT_GEMM_PRECISION=$PRECISION --"
-  if ! DOT_GEMM_PRECISION="$PRECISION" ctest --test-dir "$BUILD_ASAN" \
-      -L tier1 -j > /dev/null; then
-    echo "CHECK FAILED: tier1 tests (DOT_GEMM_PRECISION=$PRECISION)"
-    FAILED=1
-  fi
-  if ! DOT_GEMM_PRECISION="$PRECISION" "$BUILD_ASAN"/tests/quantize_test \
-      > /dev/null; then
-    echo "CHECK FAILED: quantize_test (DOT_GEMM_PRECISION=$PRECISION)"
-    FAILED=1
-  fi
-  for KERNEL in naive blocked simd; do
-    if ! DOT_GEMM_PRECISION="$PRECISION" DOT_GEMM_KERNEL="$KERNEL" \
-        "$BUILD_ASAN"/tests/gemm_differential_test > /dev/null; then
-      echo "CHECK FAILED: gemm_differential_test (precision=$PRECISION, kernel=$KERNEL)"
-      FAILED=1
-    fi
-  done
-done
-
-echo "== int8 serving loopback smoke + quant metrics lint =="
-# dot_server end to end with the quantized path live: the demo oracle must
-# train (fp32 — training pins itself), serve the smoke wave through int8
-# GEMMs, and export live dot_gemm_quant_* series through /metrics without
-# breaking the Prometheus lint.
-QUANT_DIR=$(mktemp -d)
-QUANT_LOG="$QUANT_DIR/server.log"
-QUANT_PORT_FILE="$QUANT_DIR/port"
-QUANT_ADMIN_PORT_FILE="$QUANT_DIR/admin_port"
-DOT_GEMM_PRECISION=int8 "$BUILD_ASAN"/src/serve/dot_server \
-  --port-file "$QUANT_PORT_FILE" \
-  --admin-port 0 --admin-port-file "$QUANT_ADMIN_PORT_FILE" \
-  --checkpoint "$QUANT_DIR/oracle.bin" > "$QUANT_LOG" 2>&1 &
-QUANT_PID=$!
-for _ in $(seq 1 600); do
-  [ -s "$QUANT_PORT_FILE" ] && [ -s "$QUANT_ADMIN_PORT_FILE" ] && break
-  if ! kill -0 "$QUANT_PID" 2> /dev/null; then break; fi
-  sleep 0.5
-done
-if [ ! -s "$QUANT_PORT_FILE" ]; then
-  echo "CHECK FAILED: dot_server (int8) did not come up"
-  cat "$QUANT_LOG"
-  FAILED=1
-else
-  QPORT=$(cat "$QUANT_PORT_FILE")
-  QAPORT=$(cat "$QUANT_ADMIN_PORT_FILE")
-  if ! "$BUILD_ASAN"/bench/bench_serving_load --client-smoke --port "$QPORT" \
-      --queries 25; then
-    echo "CHECK FAILED: int8 serving loopback smoke client"
-    FAILED=1
-  fi
-  QUANT_METRICS="$QUANT_DIR/metrics.txt"
-  curl -s "http://127.0.0.1:$QAPORT/metrics" > "$QUANT_METRICS"
-  QBAD=$(grep -vE '^(#.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?|[+-]?Inf|NaN))$' \
-    "$QUANT_METRICS")
-  if [ -n "$QBAD" ]; then
-    echo "CHECK FAILED: malformed int8 /metrics lines:"
-    echo "$QBAD"
-    FAILED=1
-  fi
-  for METRIC in dot_gemm_quant_gemms_total dot_gemm_quant_cache_hits_total \
-                dot_gemm_quant_cache_misses_total dot_gemm_quant_cache_entries \
-                dot_gemm_quant_cache_bytes; do
-    if ! grep -qE "^${METRIC} " "$QUANT_METRICS"; then
-      echo "CHECK FAILED: int8 /metrics is missing ${METRIC}"
-      FAILED=1
-    fi
-  done
-  # The smoke wave must actually have gone through the quantized path.
-  if ! grep -E '^dot_gemm_quant_gemms_total ' "$QUANT_METRICS" \
-      | grep -qvE ' 0$'; then
-    echo "CHECK FAILED: dot_gemm_quant_gemms_total is zero under DOT_GEMM_PRECISION=int8"
-    FAILED=1
-  fi
-  kill -TERM "$QUANT_PID"
-  if ! wait "$QUANT_PID"; then
-    echo "CHECK FAILED: dot_server (int8) exited nonzero after SIGTERM"
-    FAILED=1
-  fi
-  if ! grep -q '^DRAINED ' "$QUANT_LOG"; then
-    echo "CHECK FAILED: dot_server (int8) did not report a graceful drain"
-    cat "$QUANT_LOG"
-    FAILED=1
-  fi
-fi
-rm -rf "$QUANT_DIR"
 
 echo "== continual adaptation: trainer parity + adaptation suites under asan+ubsan =="
 # The extracted training loop must stay bitwise-parity with the historical

@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/window.h"
-#include "tensor/gemm_kernel.h"
 #include "util/checkpoint.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -268,7 +267,6 @@ Status DotOracle::AdoptStage1(const DotOracle& other) {
     }
     dst[i].second.CopyDataFrom(src[i].second);
   }
-  gemm::ClearQuantCache();  // in-place weight adoption invalidates panels
   stage1_trained_ = true;
   return Status::OK();
 }

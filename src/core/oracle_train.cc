@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/window.h"
-#include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "tensor/optim.h"
 #include "train/trainer.h"
@@ -318,8 +317,6 @@ Status DotOracle::TrainStage2(const std::vector<TripSample>& train,
     for (size_t i = 0; i < params.size(); ++i) {
       params[i].CopyFrom(best_weights[i]);
     }
-    // In-place restore: stale int8 panels must not outlive the old values.
-    gemm::ClearQuantCache();
   }
   return Status::OK();
 }
@@ -386,9 +383,6 @@ Status DotOracle::FineTune(const std::vector<TripSample>& fresh,
                                       config.stage2_epochs, lr, nullptr));
   }
   finetune_report_ = combined;
-  // Weights moved in place under a potentially serving oracle: stale int8
-  // panels must not outlive them.
-  gemm::ClearQuantCache();
   return Status::OK();
 }
 

@@ -14,7 +14,6 @@ namespace dot {
 const char* ShardHealthName(ShardHealth h) {
   switch (h) {
     case ShardHealth::kHealthy: return "healthy";
-    case ShardHealth::kDegraded: return "degraded";
     case ShardHealth::kQuarantined: return "quarantined";
   }
   return "unknown";
@@ -137,19 +136,6 @@ void OracleShard::OnDispatchSuccess() {
     next_probe_ms_ = 0;
     DOT_LOG_INFO << "shard " << config_.shard_id
                  << " recovered (probe succeeded)";
-    return;
-  }
-  // Windowed-p95 triage: pressure marks the shard degraded before it
-  // fails; relief flips it back. Quarantine dominates (handled above).
-  if (config_.degraded_p95_us > 0 &&
-      window_.Count() >= config_.degraded_min_samples) {
-    double p95 = window_.Quantile(0.95);
-    if (health_ == ShardHealth::kHealthy && p95 > config_.degraded_p95_us) {
-      SetHealthLocked(ShardHealth::kDegraded);
-    } else if (health_ == ShardHealth::kDegraded &&
-               p95 <= config_.degraded_p95_us) {
-      SetHealthLocked(ShardHealth::kHealthy);
-    }
   }
 }
 

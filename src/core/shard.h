@@ -13,16 +13,17 @@
 //
 // Health state machine:
 //
-//        p95 over threshold                consecutive stage-1 failures
-//   healthy <-----------> degraded ----------------+
-//      ^                                           v
-//      +------------- probe success ------- quarantined
-//                                          (probe on traffic, exponential
-//                                           backoff between probes)
+//             consecutive stage-1 failures
+//   healthy ------------------------------> quarantined
+//      ^                                         |
+//      +------------- probe success -------------+
+//                              (probe on traffic, exponential backoff
+//                               between probes)
 //
-//   - healthy/degraded shards serve the full path (QueryBatch). Degraded
-//     is a triage annotation from the shard's rolling-window p95 — the
-//     shard still serves, operators see pressure building before failures.
+//   - healthy shards serve the full path (QueryBatch). The rolling-window
+//     p95 of the shard's wave latency is reported (status().window_p95_us,
+//     /shardz) so operators see pressure building before failures; it
+//     does not change the state.
 //   - A stage-1 failure (retries exhausted, NaN-poisoned sampler — NOT a
 //     deadline-driven degradation) bumps a consecutive-failure counter;
 //     at quarantine_after_failures the shard is quarantined.
@@ -45,8 +46,8 @@
 // variant `serve.shard_dispatch.<id>`) fires before each full-path
 // dispatch. `error`/`nan` simulate a crashed / poisoned model call (the
 // shard's share is answered through the ladder and counts as a shard
-// failure); `delay` injects latency ahead of the dispatch (exercises the
-// p95 triage). A stage-1 failure inside a shared pass counts only against
+// failure); `delay` injects latency ahead of the dispatch (raises the
+// window p95). A stage-1 failure inside a shared pass counts only against
 // the shards whose queries needed the failed samples.
 
 #ifndef DOT_CORE_SHARD_H_
@@ -65,14 +66,15 @@
 
 namespace dot {
 
-/// \brief Shard health (DESIGN.md §5i). Gauge values are the enum values.
+/// \brief Shard health (DESIGN.md §5i). Gauge values are the enum values;
+/// 1 named a retired report-only state and stays unused, so exported
+/// dot_shard_health values keep their meaning.
 enum class ShardHealth : int {
   kHealthy = 0,
-  kDegraded = 1,     ///< serving, but windowed p95 is over the threshold
   kQuarantined = 2,  ///< full path disabled; serving through the ladder
 };
 
-/// Short lowercase name ("healthy", "degraded", "quarantined").
+/// Short lowercase name ("healthy", "quarantined").
 const char* ShardHealthName(ShardHealth h);
 
 /// Builds a fresh trained model replica for a shard — normally by loading
@@ -88,12 +90,6 @@ struct ShardConfig {
 
   /// Consecutive stage-1 failures before the shard is quarantined.
   int64_t quarantine_after_failures = 3;
-  /// Windowed-p95 threshold (microseconds per wave) above which a healthy
-  /// shard is marked degraded. 0 disables the triage.
-  double degraded_p95_us = 0;
-  /// Minimum window samples before the p95 triage may fire (a single slow
-  /// wave after an idle minute is not a trend).
-  int64_t degraded_min_samples = 5;
 
   /// First probe is scheduled this long after quarantine...
   double probe_backoff_initial_ms = 200;
@@ -107,7 +103,7 @@ struct ShardConfig {
   /// Cache / ladder configuration of the shard's OracleService.
   OracleServiceConfig service;
 
-  /// Rolling window of the p95 triage (seconds).
+  /// Rolling window of the reported wave-latency p95 (seconds).
   double window_seconds = 60.0;
   double window_bucket_seconds = 5.0;
 
@@ -257,9 +253,8 @@ class OracleShard {
   };
   Metrics metrics_;
 
-  /// Rolling wave-latency window feeding the degraded-p95 triage. Owned
-  /// here (not the registry's): the triage threshold is per shard and the
-  /// window must reset on swap.
+  /// Rolling wave-latency window behind status().window_p95_us. Owned here
+  /// (not the registry's): it is per shard and resets on swap.
   obs::RollingHistogram window_;
 
   mutable std::mutex serve_mu_;  // serializes waves (held by Pending::lock)

@@ -22,7 +22,7 @@
 // POST /swapz or SIGHUP hot-swaps every shard from the checkpoint with
 // zero downtime. Shard health knobs come from the environment:
 // DOT_SERVE_QUARANTINE_FAILURES, DOT_SERVE_PROBE_BACKOFF_MS,
-// DOT_SERVE_PROBE_BACKOFF_MAX_MS, DOT_SERVE_DEGRADED_P95_US.
+// DOT_SERVE_PROBE_BACKOFF_MAX_MS.
 //
 // Continual adaptation (DESIGN.md §5k): the process carries an incident
 // storm scheduled for the day after the demo training window. POST
@@ -221,7 +221,6 @@ int main(int argc, char** argv) {
         EnvDouble("DOT_SERVE_PROBE_BACKOFF_MS", 200);
     shard_config.probe_backoff_max_ms =
         EnvDouble("DOT_SERVE_PROBE_BACKOFF_MAX_MS", 10000);
-    shard_config.degraded_p95_us = EnvDouble("DOT_SERVE_DEGRADED_P95_US", 0);
     dot::Result<std::unique_ptr<dot::OracleShard>> shard =
         dot::OracleShard::Create(factory, std::move(shard_config));
     if (!shard.ok()) {

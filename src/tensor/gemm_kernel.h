@@ -19,16 +19,7 @@
 // unsupported CPU (or in a build without the intrinsics) falls back to
 // `blocked` gracefully — ActiveKernel() reports what actually runs.
 //
-// Precision: an orthogonal DOT_GEMM_PRECISION=fp32|int8 knob (or
-// SetPrecision()) selects a quantized serving path: symmetric per-channel
-// int8 quantization (per row of op(A), per column of op(B)), int8 x int8
-// -> int32 microkernels (scalar + AVX2 madd), and fp32 dequantization at
-// the C-tile write. RunEx() is the precision-aware entry; plain Run() is
-// always fp32. The int8 path composes with every Kernel value — kNaive is
-// again the reference oracle — and falls back to fp32 per call for inputs
-// it refuses (non-finite operands, k beyond the int32 accumulator bound).
-// Weights can skip requantization via a cache keyed on their Storage; see
-// DESIGN.md §5j for the scheme, tolerances, and invalidation contract.
+// Arithmetic is fp32 only; DESIGN.md §5e records why.
 //
 // Determinism: for a fixed kernel, results are bitwise identical for any
 // thread count. The engine partitions work across ThreadPool::Global() only
@@ -44,25 +35,12 @@
 #include <cstdint>
 
 namespace dot {
-
-class Storage;  // tensor/storage.h
-
 namespace gemm {
 
 enum class Kernel : int {
   kNaive = 0,
   kBlocked = 1,
   kSimd = 2,
-};
-
-/// Arithmetic the engine runs in. kInt8 quantizes both operands per
-/// channel and accumulates exactly in int32, so for a fixed precision the
-/// bitwise-determinism guarantees below still hold — and within kInt8 the
-/// three kernels agree bitwise with each other (integer sums have no
-/// association order).
-enum class Precision : int {
-  kFp32 = 0,
-  kInt8 = 1,
 };
 
 /// Operand layout of the product C[m,n] = op(A) * op(B).
@@ -100,50 +78,11 @@ Kernel SetKernel(Kernel kernel);
 void Run(Kernel kernel, Layout layout, const float* a, const float* b,
          float* c, int64_t m, int64_t k, int64_t n, bool accumulate);
 
-/// Stable lowercase name ("fp32", "int8").
-const char* PrecisionName(Precision precision);
-
-/// Parses a precision name; returns false (and leaves `out` alone) on
-/// unknown input. Accepts exactly the names produced by PrecisionName().
-bool ParsePrecisionName(const char* name, Precision* out);
-
-/// The precision RunEx-based dispatches route through. Resolved once from
-/// DOT_GEMM_PRECISION (default kFp32); SetPrecision overrides it for the
-/// rest of the process.
-Precision ActivePrecision();
-
-/// Overrides the active precision. Returns the precision that will run.
-Precision SetPrecision(Precision precision);
-
-/// Precision-aware Run(). For kFp32 this is exactly Run(). For kInt8 the
-/// product is computed on quantized operands when eligible, falling back
-/// to the fp32 kernel otherwise (degenerate dims always take the fp32
-/// degenerate path — they never quantize). `a_storage` / `b_storage`
-/// optionally name the backing Storage of a long-lived operand (a weight):
-/// when non-null, its quantized panels are cached across calls keyed on
-/// Storage::id() and dropped when the storage dies. Pass null for
-/// activations and anything that may mutate between calls without its
-/// storage being destroyed.
-void RunEx(Kernel kernel, Precision precision, Layout layout, const float* a,
-           const float* b, float* c, int64_t m, int64_t k, int64_t n,
-           bool accumulate, Storage* a_storage = nullptr,
-           Storage* b_storage = nullptr);
-
-/// Quantized-weight cache introspection (tests, /metrics mirror these as
-/// dot_gemm_quant_cache_entries / _bytes gauges).
-int64_t QuantCacheEntries();
-int64_t QuantCacheBytes();
-
-/// Drops every cached quantized weight. Called by the optimizers and
-/// Module::LoadFile after in-place weight mutation; hot swap needs no call
-/// because the old model's Storages die and drop their own entries.
-void ClearQuantCache();
-
-namespace internal {
-/// Storage::~Storage hook: drops the cache entries keyed on `storage_id`
-/// (flag-gated on the storage side, so untouched storages never call in).
-void DropQuantEntriesFor(uint64_t storage_id);
-}  // namespace internal
+/// The engine's arithmetic, always fp32. Kept only because the serving
+/// benchmark's fingerprint records PrecisionName(ActivePrecision()).
+enum class Precision { kFp32 };
+inline const char* PrecisionName(Precision) { return "fp32"; }
+inline Precision ActivePrecision() { return Precision::kFp32; }
 
 }  // namespace gemm
 }  // namespace dot

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "obs/profile.h"
-#include "tensor/gemm_kernel.h"
 #include "util/checkpoint.h"
 
 namespace dot::nn {
@@ -93,9 +92,6 @@ Status Module::Load(BinaryReader* r) {
     }
     t.CopyFrom(data);
   }
-  // Parameters were overwritten in place: drop any quantized panels the
-  // int8 GEMM path cached from the old values.
-  gemm::ClearQuantCache();
   return Status::OK();
 }
 

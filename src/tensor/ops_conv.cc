@@ -208,10 +208,9 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias, int64_t stri
     storage::Scratch col(d.ckk() * cols);
     storage::Scratch tmp(d.oc * cols);
     BatchIm2Col(x.data(), d, col.data());
-    // One GEMM for the whole batch: [OC, CKK] x [CKK, B*OHW]. The weight is
-    // the A operand — its quantized panels are cacheable when serving.
-    internal::GemmEx(w.data(), col.data(), tmp.data(), d.oc, d.ckk(), cols,
-                     false, internal::QuantWeightHandle(w), nullptr);
+    // One GEMM for the whole batch: [OC, CKK] x [CKK, B*OHW].
+    internal::Gemm(w.data(), col.data(), tmp.data(), d.oc, d.ckk(), cols,
+                   false);
     // Scatter [OC, B*OHW] -> [B, OC, OHW], fusing the bias. Each
     // (sample, out-channel) row is written by exactly one task.
     const float* bias_ptr = has_bias ? bias.data() : nullptr;

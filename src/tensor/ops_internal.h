@@ -21,38 +21,14 @@ namespace internal {
 // and null pointers are allowed for empty operands.
 
 /// C[m,n] (+)= A[m,k] * B[k,n]; `accumulate` keeps existing C contents.
-/// Precision-aware: routes to the int8 quantized path when the active
-/// precision is int8 AND autograd recording is off. Recording forwards
-/// (training, gradcheck) always run fp32 — quantization noise under a
-/// gradient graph would desync forward from backward.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool accumulate);
-/// Gemm() plus quantized-weight cache handles: `a_storage` / `b_storage`
-/// (either may be null) identify a long-lived operand — a parameter —
-/// whose int8 panels should be cached across calls (gemm_kernel.h).
-void GemmEx(const float* a, const float* b, float* c, int64_t m, int64_t k,
-            int64_t n, bool accumulate, Storage* a_storage,
-            Storage* b_storage);
-/// C = A^T * B with A[k,m], B[k,n] -> C[m,n]. Always fp32: only backward
-/// passes use the transposed layouts, and backward math stays full
-/// precision by design.
+/// C = A^T * B with A[k,m], B[k,n] -> C[m,n].
 void GemmTA(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n, bool accumulate);
-/// C = A * B^T with A[m,k], B[n,k] -> C[m,n]. Always fp32 (see GemmTA).
+/// C = A * B^T with A[m,k], B[n,k] -> C[m,n].
 void GemmTB(const float* a, const float* b, float* c, int64_t m, int64_t k,
             int64_t n, bool accumulate);
-
-/// The cache handle a forward GEMM should pass for operand `t`: its
-/// Storage when `t` is a whole-storage parameter tensor consumed outside
-/// autograd recording (a served weight), else null. Activations fail the
-/// requires_grad test under NoGradGuard; training forwards fail the grad
-/// mode test (and run fp32 anyway); view tensors are excluded because the
-/// cache validates whole-buffer identity only.
-inline Storage* QuantWeightHandle(const Tensor& t) {
-  if (GradModeEnabled() || !t.defined() || !t.requires_grad()) return nullptr;
-  Storage* s = t.storage_ptr();
-  return t.data() == s->data() ? s : nullptr;
-}
 
 /// True if gradients must flow through `t` (leaf parameter or graph output).
 inline bool NeedsGrad(const Tensor& t) {

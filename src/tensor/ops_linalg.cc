@@ -19,19 +19,8 @@ namespace internal {
 
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool accumulate) {
-  GemmEx(a, b, c, m, k, n, accumulate, nullptr, nullptr);
-}
-
-void GemmEx(const float* a, const float* b, float* c, int64_t m, int64_t k,
-            int64_t n, bool accumulate, Storage* a_storage,
-            Storage* b_storage) {
-  // Int8 is an inference-path precision: any GEMM issued while autograd is
-  // recording stays fp32 so training and gradcheck see exact-gradient
-  // arithmetic regardless of DOT_GEMM_PRECISION.
-  gemm::Precision precision =
-      GradModeEnabled() ? gemm::Precision::kFp32 : gemm::ActivePrecision();
-  gemm::RunEx(gemm::ActiveKernel(), precision, gemm::Layout::kNN, a, b, c, m,
-              k, n, accumulate, a_storage, b_storage);
+  gemm::Run(gemm::ActiveKernel(), gemm::Layout::kNN, a, b, c, m, k, n,
+            accumulate);
 }
 
 void GemmTA(const float* a, const float* b, float* c, int64_t m, int64_t k,
@@ -59,9 +48,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
                         2.0 * static_cast<double>(m) * static_cast<double>(k) *
                             static_cast<double>(n));
   Tensor out = Tensor::Empty({m, n});
-  internal::GemmEx(a.data(), b.data(), out.data(), m, k, n,
-                   /*accumulate=*/false, internal::QuantWeightHandle(a),
-                   internal::QuantWeightHandle(b));
+  internal::Gemm(a.data(), b.data(), out.data(), m, k, n,
+                 /*accumulate=*/false);
   Tensor a_cap = a, b_cap = b;
   AttachNode(&out, "matmul", {a, b}, [a_cap, b_cap, m, k, n](const Tensor& o) {
     Tensor a = a_cap, b = b_cap;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "tensor/gemm_kernel.h"
 
 namespace dot::optim {
 
@@ -18,9 +17,6 @@ Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
 }
 
 void Adam::Step() {
-  // Weights are about to mutate in place: any quantized panels cached from
-  // them are stale. (No-op unless an int8 serving pass ran on this model.)
-  gemm::ClearQuantCache();
   ++t_;
   float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
@@ -53,7 +49,6 @@ SGD::SGD(std::vector<Tensor> params, float lr, float momentum)
 }
 
 void SGD::Step() {
-  gemm::ClearQuantCache();  // in-place weight mutation (see Adam::Step)
   for (size_t i = 0; i < params_.size(); ++i) {
     Tensor& p = params_[i];
     if (!p.has_grad()) continue;

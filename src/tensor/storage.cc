@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "tensor/gemm_kernel.h"
 #include "util/logging.h"
 
 namespace dot {
@@ -217,17 +216,12 @@ std::shared_ptr<Storage> Storage::Allocate(int64_t n) {
     data = storage::RawAlloc(cap);
   }
   storage::UpdateLive(pool, bytes);
-  static std::atomic<uint64_t> next_id{1};
-  return std::shared_ptr<Storage>(
-      new Storage(data, cap, next_id.fetch_add(1, std::memory_order_relaxed)));
+  return std::shared_ptr<Storage>(new Storage(data, cap));
 }
 
 Storage::~Storage() {
   using storage::GetObsMetrics;
   using storage::GetPool;
-  if (quant_cached_.load(std::memory_order_relaxed)) {
-    gemm::internal::DropQuantEntriesFor(id_);
-  }
   auto& pool = GetPool();
   int64_t bytes = capacity_ * static_cast<int64_t>(sizeof(float));
   storage::UpdateLive(pool, -bytes);

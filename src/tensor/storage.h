@@ -27,7 +27,6 @@
 #ifndef DOT_TENSOR_STORAGE_H_
 #define DOT_TENSOR_STORAGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -52,27 +51,11 @@ class Storage {
   /// Bucket capacity in floats (>= the requested size).
   int64_t capacity() const { return capacity_; }
 
-  /// Process-unique monotonic id. Cache keys (the GEMM quantized-weight
-  /// cache) use this instead of the object address: a recycled allocation
-  /// gets a fresh id, so a dead entry can never alias a new storage.
-  uint64_t id() const { return id_; }
-
-  /// Flags this storage as holding entries in the GEMM quantized-weight
-  /// cache, so ~Storage drops them (gemm::internal::DropQuantEntriesFor).
-  /// One-way: the flag stays set even if the cache is cleared first — the
-  /// destructor's drop call then finds nothing, which is fine.
-  void MarkQuantCached() {
-    quant_cached_.store(true, std::memory_order_relaxed);
-  }
-
  private:
-  Storage(float* data, int64_t capacity, uint64_t id)
-      : data_(data), capacity_(capacity), id_(id) {}
+  Storage(float* data, int64_t capacity) : data_(data), capacity_(capacity) {}
 
   float* data_ = nullptr;
   int64_t capacity_ = 0;
-  uint64_t id_ = 0;
-  std::atomic<bool> quant_cached_{false};
 };
 
 namespace storage {

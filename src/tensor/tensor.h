@@ -118,10 +118,6 @@ class Tensor {
   float* data() { return impl_->storage->data() + impl_->offset; }
   const float* data() const { return impl_->storage->data() + impl_->offset; }
 
-  /// The backing Storage (views share it). Identity handle for the GEMM
-  /// quantized-weight cache; never null on a defined tensor.
-  Storage* storage_ptr() const { return impl_->storage.get(); }
-
   /// Element access by flat index.
   float& at(int64_t i) { return data()[i]; }
   float at(int64_t i) const { return data()[i]; }

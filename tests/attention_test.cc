@@ -3,28 +3,15 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/gemm_kernel.h"
 #include "tensor/nn.h"
 #include "tensor/ops.h"
 
 namespace dot {
 namespace {
 
-// Scoped fp32 override: the exact mask-equivalence contracts below do not
-// survive dynamic int8 quantization, because V is quantized per output
-// column ACROSS sequence positions — changing a masked position's content
-// shifts the shared column scales and perturbs every position's output by
-// a quantization step. Under DOT_GEMM_PRECISION=int8 these properties hold
-// only to quantization tolerance, so the tests pin the fp32 kernels.
-struct Fp32Pin {
-  gemm::Precision prev = gemm::SetPrecision(gemm::Precision::kFp32);
-  ~Fp32Pin() { gemm::SetPrecision(prev); }
-};
-
 TEST(AttentionMask, MaskedKeysDoNotInfluenceOutputs) {
   Rng rng(1);
   nn::MultiheadAttention att(8, 2, &rng);
-  Fp32Pin pin;
   NoGradGuard guard;
   // Sequence of 4; mask out positions 2 and 3.
   Tensor x = Tensor::Randn({1, 4, 8}, &rng);
@@ -54,7 +41,6 @@ TEST(AttentionMask, MaskedAttentionEqualsPackedAttention) {
   Rng rng1(2), rng2(2);
   nn::MultiheadAttention full(8, 2, &rng1);
   nn::MultiheadAttention packed(8, 2, &rng2);  // identical weights
-  Fp32Pin pin;
   NoGradGuard guard;
   Tensor x = Tensor::Randn({1, 4, 8}, &rng1);
   std::vector<float> bias = {0.0f, -1e9f, 0.0f, -1e9f};

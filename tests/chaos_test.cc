@@ -24,6 +24,7 @@
 
 #include "core/shard.h"
 #include "serve/router.h"
+#include "tensor/storage.h"
 #include "util/failpoint.h"
 
 namespace dot {
@@ -357,45 +358,41 @@ TEST_F(ChaosFixture, FailedProbesBackOffExponentially) {
   EXPECT_NEAR(shard->status().next_probe_in_ms, 0, 1e-9);
 }
 
-// ---- Injected latency drives the p95 triage --------------------------------
+// ---- Injected latency shows in the window p95 ------------------------------
 
-TEST_F(ChaosFixture, DelayInjectionMarksShardDegradedThenRecovers) {
+TEST_F(ChaosFixture, DelayInjectionRaisesWindowP95ThenAgesOut) {
   ShardConfig cfg = FastShardConfig("d0");
-  // Generous threshold + a much larger injected delay: the gap has to
-  // survive sanitizer slowdowns (TSan makes cache-hit waves ~10-20x slower).
-  cfg.degraded_p95_us = 60000;  // 60 ms
-  cfg.degraded_min_samples = 3;
-  cfg.window_seconds = 0.8;  // short window so recovery fits in a test
+  cfg.window_seconds = 0.8;  // short window so slow samples age out in a test
   cfg.window_bucket_seconds = 0.2;
   std::unique_ptr<OracleShard> shard = MakeShard(std::move(cfg));
+  // A generous line and a much larger injected delay: the gap has to
+  // survive sanitizer slowdowns (TSan makes cache-hit waves ~10-20x slower).
+  constexpr double kLineUs = 60000;  // 60 ms
 
-  // Warm the cache so un-delayed waves are far under the threshold.
+  // Warm the cache so un-delayed waves are far under the line.
   std::vector<OdtInput> wave = Wave(0, 4);
   ExpectAllServed(shard->ServeWave(wave, {}), 4);
 
   // 200 ms of injected latency ahead of every dispatch: a hung dependency.
+  // The p95 is reported, not acted on: the shard keeps serving full answers.
   fail::Arm("serve.shard_dispatch.d0", fail::Action::kDelay, /*count=*/-1,
             /*arg=*/200.0);
   for (int i = 0; i < 4; ++i) {
-    ExpectAllServed(shard->ServeWave(wave, {}), 4);
+    Result<std::vector<DotEstimate>> r = shard->ServeWave(wave, {});
+    ExpectAllServed(r, 4);
+    for (const DotEstimate& e : *r) EXPECT_EQ(e.quality, ServedQuality::kFull);
   }
-  EXPECT_EQ(shard->health(), ShardHealth::kDegraded);
-  EXPECT_GT(shard->status().window_p95_us, 60000);
-  // Degraded is triage, not failover: the shard still serves full quality.
-  Result<std::vector<DotEstimate>> r = shard->ServeWave(wave, {});
-  ExpectAllServed(r, 4);
-  EXPECT_EQ((*r)[0].quality, ServedQuality::kFull);
+  EXPECT_GT(shard->status().window_p95_us, kLineUs);
+  EXPECT_EQ(shard->health(), ShardHealth::kHealthy);
 
-  // Latency source removed + slow samples aged out: triage flips back.
-  // The rolling window covers up to window_seconds + bucket_seconds (1.0 s)
-  // depending on bucket alignment, so sleep past that worst case — one
-  // surviving 200 ms sample would pin the p95 above the threshold.
+  // Latency source removed + slow samples aged out. The rolling window
+  // covers up to window_seconds + bucket_seconds (1.0 s) depending on
+  // bucket alignment, so sleep past that worst case — one surviving 200 ms
+  // sample would pin the p95 above the line.
   fail::DisarmAll();
   std::this_thread::sleep_for(std::chrono::milliseconds(1300));
-  for (int i = 0; i < 4 && shard->health() != ShardHealth::kHealthy; ++i) {
-    ExpectAllServed(shard->ServeWave(wave, {}), 4);
-  }
-  EXPECT_EQ(shard->health(), ShardHealth::kHealthy);
+  for (int i = 0; i < 4; ++i) ExpectAllServed(shard->ServeWave(wave, {}), 4);
+  EXPECT_LT(shard->status().window_p95_us, kLineUs);
 }
 
 // ---- Hot swap under concurrent load ----------------------------------------
@@ -444,6 +441,31 @@ TEST_F(ChaosFixture, HotSwapUnderLoadServesZeroErrorsAndBumpsVersions) {
   }
   // And the swapped fleet keeps serving.
   ExpectAllServed(router.Route(Wave(0, 6), {}), 6);
+}
+
+// ---- Hot swap frees the retired replica ------------------------------------
+
+TEST_F(ChaosFixture, HotSwapFreesTheRetiredReplica) {
+  const int64_t before_create = storage::GetPoolStats().bytes_live;
+  std::unique_ptr<OracleShard> shard = MakeShard(FastShardConfig("f0"));
+  // What a replica that is never freed would leave behind: at least the
+  // parameters its creation made live.
+  const int64_t replica_bytes =
+      storage::GetPoolStats().bytes_live - before_create;
+  ASSERT_GT(replica_bytes, 0);
+
+  std::vector<OdtInput> wave = Wave(0, 6);
+  ExpectAllServed(shard->ServeWave(wave, {}), 6);
+  const int64_t one_replica = storage::GetPoolStats().bytes_live;
+
+  // The swap retires the old runtime, whose parameters and cached PiTs must
+  // die with it. The canary pass and the second wave refill the new cache
+  // with PiTs of the same buckets, so live bytes return to the same level.
+  ASSERT_TRUE(shard->HotSwap().ok());
+  ExpectAllServed(shard->ServeWave(wave, {}), 6);
+  EXPECT_EQ(storage::GetPoolStats().bytes_live, one_replica)
+      << "a leaked replica reads at least " << replica_bytes
+      << " bytes higher";
 }
 
 // ---- Swap failure leaves the old model serving -----------------------------

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,41 +78,31 @@ TEST(Determinism, UnetForwardIsSeedDeterministic) {
   for (int64_t i = 0; i < ya.numel(); ++i) EXPECT_EQ(ya.at(i), yb.at(i));
 }
 
-// ---- GEMM kernel x precision x thread-count sweep ---------------------------
+// ---- GEMM kernel x thread-count sweep --------------------------------------
 // The engine contract (gemm_kernel.h): same kernel + same inputs -> bitwise
 // identical outputs for ANY thread count, because work is only partitioned
-// across disjoint output regions and the k-accumulation order is fixed. The
-// int8 path inherits the same contract for free — integer accumulation has
-// no rounding at all — so the sweep runs the full kernel x precision grid.
+// across disjoint output regions and the k-accumulation order is fixed.
 // Verified end to end here: conv2d forward + backward, masked attention, the
 // UNet denoiser (the oracle's stage-1 network) and both samplers driving it
 // at 1, 2, 3, 4 and hardware-concurrency threads, plus run-to-run identity
 // at each count. The samplers slice the batch by thread count, so this also
-// proves slicing bitwise-safe. Under kInt8 the recording conv forward +
-// backward stay fp32 by the grad-mode contract; the inference blocks take
-// the quantized path.
+// proves slicing bitwise-safe.
 
-class KernelThreadSweep
-    : public ::testing::TestWithParam<std::tuple<gemm::Kernel, gemm::Precision>> {
+class KernelThreadSweep : public ::testing::TestWithParam<gemm::Kernel> {
  protected:
   void SetUp() override {
-    if (std::get<0>(GetParam()) == gemm::Kernel::kSimd &&
-        !gemm::SimdAvailable()) {
+    if (GetParam() == gemm::Kernel::kSimd && !gemm::SimdAvailable()) {
       GTEST_SKIP() << "SIMD microkernel unavailable on this CPU/build";
     }
     prev_kernel_ = gemm::ActiveKernel();
-    prev_precision_ = gemm::ActivePrecision();
-    gemm::SetKernel(std::get<0>(GetParam()));
-    gemm::SetPrecision(std::get<1>(GetParam()));
+    gemm::SetKernel(GetParam());
   }
   void TearDown() override {
     gemm::SetKernel(prev_kernel_);
-    gemm::SetPrecision(prev_precision_);
     ThreadPool::ResetGlobalForTesting();  // back to default sizing
   }
 
   gemm::Kernel prev_kernel_ = gemm::Kernel::kNaive;
-  gemm::Precision prev_precision_ = gemm::Precision::kFp32;
 
   /// One fixed-seed pass through the GEMM-heavy paths; returns every output
   /// and gradient byte so the comparison below is exhaustive.
@@ -134,9 +123,8 @@ class KernelThreadSweep
       append(w.grad_vec());
     }
     NoGradGuard guard;
-    // conv2d inference forward: under kInt8 this is the quantized conv path,
-    // with the weight handle engaging the quantized-weight cache (the 9x9
-    // input gives OHW=81, a non-multiple-of-8 edge-tile GEMM).
+    // conv2d inference forward (the 9x9 input gives OHW=81, a
+    // non-multiple-of-8 edge-tile GEMM).
     {
       Rng rng(55);
       Tensor cx = Tensor::Randn({2, 3, 9, 9}, &rng);
@@ -165,9 +153,7 @@ class KernelThreadSweep
       append(unet.PredictNoise(ux, {3}, Tensor::Zeros({1, 5})).ToVector());
     }
     // Both samplers at b=5 on the UNet: the thread counts below cut the
-    // batch into different slice partitions. Sampling runs inside the
-    // NoGradGuard, so a slice that recorded a graph would run its forwards
-    // in fp32 and break the int8 comparison against the 1-thread run.
+    // batch into different slice partitions.
     {
       UnetConfig cfg;
       cfg.base_channels = 8;
@@ -242,50 +228,13 @@ TEST_P(KernelThreadSweep, BitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllKernelsAndPrecisions, KernelThreadSweep,
-    ::testing::Combine(::testing::Values(gemm::Kernel::kNaive,
-                                         gemm::Kernel::kBlocked,
-                                         gemm::Kernel::kSimd),
-                       ::testing::Values(gemm::Precision::kFp32,
-                                         gemm::Precision::kInt8)),
-    [](const auto& info) {
-      return std::string(gemm::KernelName(std::get<0>(info.param))) + "_" +
-             gemm::PrecisionName(std::get<1>(info.param));
-    });
-
-// Batch-position invariance of the quantized path: activation scales are
-// per-op(A)-row / per-op(B)-column — never per packed panel — so quantizing
-// a row depends only on that row's contents, not on which rows it happens to
-// share a panel with. Slicing a row block out of a bigger batch must
-// therefore reproduce the batched results bitwise, even when the slice
-// starts mid-panel and the shapes force partial edge tiles (m % 8 != 0,
-// n % 8 != 0).
-TEST(Int8Determinism, BatchPositionInvarianceOnEdgeTiles) {
-  const int64_t m = 11, k = 40, n = 9;
-  Rng rng(20260807);
-  std::vector<float> a(static_cast<size_t>(m * k));
-  std::vector<float> b(static_cast<size_t>(k * n));
-  for (auto& v : a) v = static_cast<float>(rng.Uniform(-2.0, 2.0));
-  for (auto& v : b) v = static_cast<float>(rng.Uniform(-2.0, 2.0));
-  for (gemm::Kernel kernel :
-       {gemm::Kernel::kNaive, gemm::Kernel::kBlocked, gemm::Kernel::kSimd}) {
-    if (kernel == gemm::Kernel::kSimd && !gemm::SimdAvailable()) continue;
-    SCOPED_TRACE(gemm::KernelName(kernel));
-    std::vector<float> c_full(static_cast<size_t>(m * n));
-    gemm::RunEx(kernel, gemm::Precision::kInt8, gemm::Layout::kNN, a.data(),
-                b.data(), c_full.data(), m, k, n, false);
-    // Rows 3..7 of the batch, recomputed standalone: starts mid-panel in the
-    // batched run, is its own (padded) panel standalone.
-    const int64_t row0 = 3, rows = 5;
-    std::vector<float> c_part(static_cast<size_t>(rows * n));
-    gemm::RunEx(kernel, gemm::Precision::kInt8, gemm::Layout::kNN,
-                a.data() + row0 * k, b.data(), c_part.data(), rows, k, n,
-                false);
-    EXPECT_EQ(0, std::memcmp(c_full.data() + row0 * n, c_part.data(),
-                             c_part.size() * sizeof(float)));
-  }
-}
+INSTANTIATE_TEST_SUITE_P(AllKernels, KernelThreadSweep,
+                         ::testing::Values(gemm::Kernel::kNaive,
+                                           gemm::Kernel::kBlocked,
+                                           gemm::Kernel::kSimd),
+                         [](const auto& info) {
+                           return std::string(gemm::KernelName(info.param));
+                         });
 
 TEST(Determinism, SpatialConditionFlagChangesArchitecture) {
   UnetConfig with = {};

@@ -29,7 +29,6 @@
 
 #include "tensor/gemm_kernel.h"
 #include "tensor/ops_internal.h"
-#include "tensor/quantize.h"
 #include "util/rng.h"
 
 namespace dot {
@@ -327,237 +326,6 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, GemmDifferential,
                            return std::string(gemm::KernelName(info.param));
                          });
 
-// ---- Int8 quantized path (DESIGN.md §5j) ------------------------------------
-//
-// Tolerance derivation: symmetric per-channel quantization writes
-// A_ip = sa_i q^a_ip + e^a_ip with |e^a_ip| <= sa_i / 2 (and likewise B
-// with per-column sb_j), so the dequantized product deviates from the
-// exact one by at most
-//
-//   |C_q[i,j] - C[i,j]| <= sum_p ( |A_ip| sb_j/2 + |B_pj| sa_i/2
-//                                  + sa_i sb_j/4 )
-//                        = rowabs_i sb_j/2 + colabs_j sa_i/2
-//                          + k sa_i sb_j/4
-//
-// — a scale * k bound, NOT an eps * k bound: quantization error is the
-// dominant term by orders of magnitude. The few float roundings in the
-// dequant write (int32->float is exact below 2^24, then two multiplies)
-// are absorbed by a 1.05 slack factor plus a 4-eps relative term. Scales
-// are recomputed in-test with the same quantize.h primitives the engine
-// uses, so the bound tracks the actual grid.
-
-// Per-op(A)-row and per-op(B)-column scales, exactly as the engine
-// computes them.
-void OpScales(const std::vector<float>& a, const std::vector<float>& b,
-              gemm::Layout layout, int64_t m, int64_t k, int64_t n,
-              std::vector<float>* sa, std::vector<float>* sb) {
-  sa->assign(static_cast<size_t>(m), 0.0f);
-  sb->assign(static_cast<size_t>(n), 0.0f);
-  for (int64_t i = 0; i < m; ++i) {
-    const float* row =
-        layout == gemm::Layout::kTA ? a.data() + i : a.data() + i * k;
-    int64_t stride = layout == gemm::Layout::kTA ? m : 1;
-    ASSERT_TRUE(quant::ChannelScale(row, k, stride, &(*sa)[i]));
-  }
-  for (int64_t j = 0; j < n; ++j) {
-    const float* col =
-        layout == gemm::Layout::kTB ? b.data() + j * k : b.data() + j;
-    int64_t stride = layout == gemm::Layout::kTB ? 1 : n;
-    ASSERT_TRUE(quant::ChannelScale(col, k, stride, &(*sb)[j]));
-  }
-}
-
-void CheckShapeInt8(gemm::Kernel kernel, gemm::Layout layout, const Shape& s,
-                    bool accumulate, uint64_t seed) {
-  SCOPED_TRACE(std::string("int8/") + gemm::KernelName(kernel) + "/" +
-               LayoutName(layout) + "/" + ShapeName(s) +
-               (accumulate ? "/acc" : "") + "/seed" + std::to_string(seed));
-  const int64_t m = s.m, k = s.k, n = s.n;
-  std::vector<float> a = RandomVec(m * k, seed);
-  std::vector<float> b = RandomVec(k * n, seed ^ 0x9e3779b97f4a7c15ull);
-  std::vector<float> c0 = RandomVec(m * n, seed ^ 0xda3e39cb94b95bdbull);
-
-  std::vector<double> cref, mag;
-  ReferenceGemm(a, b, layout, m, k, n, &cref, &mag);
-  std::vector<float> sa, sb;
-  OpScales(a, b, layout, m, k, n, &sa, &sb);
-
-  // Row / column magnitude sums for the bound.
-  std::vector<double> rowabs(static_cast<size_t>(m), 0.0);
-  std::vector<double> colabs(static_cast<size_t>(n), 0.0);
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t p = 0; p < k; ++p) {
-      rowabs[static_cast<size_t>(i)] += std::fabs(RefA(a, layout, m, k, i, p));
-    }
-  }
-  for (int64_t j = 0; j < n; ++j) {
-    for (int64_t p = 0; p < k; ++p) {
-      colabs[static_cast<size_t>(j)] += std::fabs(RefB(b, layout, k, n, p, j));
-    }
-  }
-
-  std::vector<float> c = c0;
-  gemm::RunEx(kernel, gemm::Precision::kInt8, layout, a.data(), b.data(),
-              c.data(), m, k, n, accumulate);
-
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      const size_t idx = static_cast<size_t>(i * n + j);
-      const double sai = sa[static_cast<size_t>(i)];
-      const double sbj = sb[static_cast<size_t>(j)];
-      double expected = cref[idx] + (accumulate ? c0[idx] : 0.0f);
-      double quant_bound = rowabs[static_cast<size_t>(i)] * sbj * 0.5 +
-                           colabs[static_cast<size_t>(j)] * sai * 0.5 +
-                           static_cast<double>(k) * sai * sbj * 0.25;
-      double err = std::fabs(static_cast<double>(c[idx]) - expected);
-      ASSERT_LE(err,
-                1.05 * quant_bound + 4.0 * kEps * std::fabs(expected) + 1e-30)
-          << "element (" << i << "," << j << "): got " << c[idx] << " want "
-          << expected << " (quant bound " << quant_bound << ")";
-    }
-  }
-}
-
-class Int8Differential : public ::testing::TestWithParam<gemm::Kernel> {
- protected:
-  void SetUp() override {
-    if (!KernelRunnable(GetParam())) {
-      GTEST_SKIP() << "SIMD microkernel unavailable on this CPU/build";
-    }
-  }
-};
-
-TEST_P(Int8Differential, FixedShapeGridVsExactReference) {
-  // Same precision x kernel x layout x accumulate grid as the fp32 wall,
-  // seeded independently.
-  uint64_t seed = 0x17e8;
-  for (const Shape& s : kFixedShapes) {
-    for (gemm::Layout layout : kLayouts) {
-      for (bool accumulate : {false, true}) {
-        CheckShapeInt8(GetParam(), layout, s, accumulate, ++seed);
-        if (HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
-TEST_P(Int8Differential, FuzzedShapesVsExactReference) {
-  Rng rng(20260807);
-  auto fuzz_dim = [&rng]() -> int64_t {
-    switch (rng.UniformInt(0, 3)) {
-      case 0:
-        return rng.UniformInt(1, 9);
-      case 1: {
-        const int64_t base[] = {8, 16, 32, 128, 256};
-        return base[rng.UniformInt(0, 4)] + rng.UniformInt(-1, 1);
-      }
-      default:
-        return rng.UniformInt(1, 200);
-    }
-  };
-  for (int iter = 0; iter < 16; ++iter) {
-    Shape s{fuzz_dim(), fuzz_dim(), fuzz_dim()};
-    gemm::Layout layout = kLayouts[rng.UniformInt(0, 2)];
-    bool accumulate = rng.UniformInt(0, 1) == 1;
-    CheckShapeInt8(GetParam(), layout, s, accumulate,
-                   static_cast<uint64_t>(rng.UniformInt(1, 1 << 30)));
-    if (HasFatalFailure()) return;
-  }
-}
-
-TEST_P(Int8Differential, BitwiseEqualToNaiveInt8) {
-  // Integer accumulation has no association order and every path
-  // quantizes through the same primitives, so the int8 kernels agree
-  // BITWISE with the int8 naive reference — a much stronger contract than
-  // the fp32 cross-kernel tolerance. Shapes cover edge tiles (non
-  // multiples of 8) on both dimensions.
-  const Shape shapes[] = {{7, 23, 9}, {33, 65, 47}, {64, 256, 40},
-                          {5, 129, 517}, {129, 31, 8}};
-  uint64_t seed = 0xfeed;
-  for (const Shape& s : shapes) {
-    for (gemm::Layout layout : kLayouts) {
-      for (bool accumulate : {false, true}) {
-        SCOPED_TRACE(std::string("int8/") + gemm::KernelName(GetParam()) +
-                     "/" + LayoutName(layout) + "/" + ShapeName(s) +
-                     (accumulate ? "/acc" : ""));
-        const int64_t m = s.m, k = s.k, n = s.n;
-        std::vector<float> a = RandomVec(m * k, ++seed);
-        std::vector<float> b = RandomVec(k * n, seed ^ 0x2545f4914f6cdd1dull);
-        std::vector<float> c0 = RandomVec(m * n, seed ^ 0x7777);
-        std::vector<float> c_naive = c0, c_kernel = c0;
-        gemm::RunEx(gemm::Kernel::kNaive, gemm::Precision::kInt8, layout,
-                    a.data(), b.data(), c_naive.data(), m, k, n, accumulate);
-        gemm::RunEx(GetParam(), gemm::Precision::kInt8, layout, a.data(),
-                    b.data(), c_kernel.data(), m, k, n, accumulate);
-        ASSERT_EQ(0, std::memcmp(c_naive.data(), c_kernel.data(),
-                                 c_naive.size() * sizeof(float)));
-      }
-    }
-  }
-}
-
-TEST_P(Int8Differential, DegenerateDimsAndNullPointers) {
-  // The quantized path must keep the engine's degenerate-dim contract:
-  // m==0 / n==0 return, k==0 zero-fills only when !accumulate, null
-  // pointers allowed for empty operands. k==1 exercises the odd-k pad.
-  for (int64_t m : {0, 1}) {
-    for (int64_t k : {0, 1}) {
-      for (int64_t n : {0, 1}) {
-        for (gemm::Layout layout : kLayouts) {
-          for (bool accumulate : {false, true}) {
-            SCOPED_TRACE(std::string("int8/") + ShapeName({m, k, n}) + "/" +
-                         LayoutName(layout) + (accumulate ? "/acc" : ""));
-            std::vector<float> a(static_cast<size_t>(m * k), 2.0f);
-            std::vector<float> b(static_cast<size_t>(k * n), 3.0f);
-            std::vector<float> c(static_cast<size_t>(m * n), 7.0f);
-            gemm::RunEx(GetParam(), gemm::Precision::kInt8, layout,
-                        a.empty() ? nullptr : a.data(),
-                        b.empty() ? nullptr : b.data(),
-                        c.empty() ? nullptr : c.data(), m, k, n, accumulate);
-            if (m == 1 && n == 1) {
-              // k==1: both operands are their channel's extreme element,
-              // so they quantize exactly and 2*3 is exact in int8 too.
-              float expected = k == 0 ? (accumulate ? 7.0f : 0.0f)
-                                      : (accumulate ? 13.0f : 6.0f);
-              EXPECT_EQ(c[0], expected);
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST_P(Int8Differential, NonFiniteOperandFallsBackToFp32) {
-  // A NaN/Inf anywhere in either operand refuses quantization; the call
-  // must produce exactly what the fp32 kernel produces.
-  const int64_t m = 9, k = 17, n = 11;
-  for (int which : {0, 1}) {
-    for (float bad : {std::numeric_limits<float>::quiet_NaN(),
-                      std::numeric_limits<float>::infinity()}) {
-      std::vector<float> a = RandomVec(m * k, 91);
-      std::vector<float> b = RandomVec(k * n, 92);
-      (which == 0 ? a[5] : b[7]) = bad;
-      std::vector<float> c_q(static_cast<size_t>(m * n));
-      std::vector<float> c_f(static_cast<size_t>(m * n));
-      gemm::RunEx(GetParam(), gemm::Precision::kInt8, gemm::Layout::kNN,
-                  a.data(), b.data(), c_q.data(), m, k, n, false);
-      gemm::Run(GetParam(), gemm::Layout::kNN, a.data(), b.data(), c_f.data(),
-                m, k, n, false);
-      ASSERT_EQ(0, std::memcmp(c_q.data(), c_f.data(),
-                               c_q.size() * sizeof(float)));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKernels, Int8Differential,
-                         ::testing::Values(gemm::Kernel::kNaive,
-                                           gemm::Kernel::kBlocked,
-                                           gemm::Kernel::kSimd),
-                         [](const auto& info) {
-                           return std::string(gemm::KernelName(info.param));
-                         });
-
 // ---- Dispatch-level regressions (internal::Gemm* wrappers) ------------------
 
 TEST(GemmDispatch, EmptyProductsTolerateNullPointers) {
@@ -611,54 +379,6 @@ TEST(GemmDispatch, SetKernelRoutesDispatchers) {
   EXPECT_EQ(0, std::memcmp(via_dispatch.data(), direct.data(),
                            direct.size() * sizeof(float)));
   EXPECT_EQ(gemm::SetKernel(prev), prev);
-}
-
-TEST(GemmDispatch, PrecisionNamesRoundTrip) {
-  for (gemm::Precision p : {gemm::Precision::kFp32, gemm::Precision::kInt8}) {
-    gemm::Precision parsed;
-    ASSERT_TRUE(gemm::ParsePrecisionName(gemm::PrecisionName(p), &parsed));
-    EXPECT_EQ(parsed, p);
-  }
-  gemm::Precision parsed = gemm::Precision::kFp32;
-  EXPECT_FALSE(gemm::ParsePrecisionName("fp16", &parsed));
-  EXPECT_FALSE(gemm::ParsePrecisionName(nullptr, &parsed));
-  EXPECT_EQ(parsed, gemm::Precision::kFp32);  // untouched on failure
-}
-
-TEST(GemmDispatch, SetPrecisionRoutesDispatchers) {
-  // Under SetPrecision(kInt8) the internal::Gemm wrappers take the quantized
-  // path — but only outside grad mode: recording forwards must stay fp32 so
-  // autograd gradients match the forward they differentiate.
-  gemm::Precision prev = gemm::SetPrecision(gemm::Precision::kInt8);
-  EXPECT_EQ(gemm::ActivePrecision(), gemm::Precision::kInt8);
-
-  const int64_t m = 12, k = 40, n = 9;
-  std::vector<float> a = RandomVec(m * k, 5);
-  std::vector<float> b = RandomVec(k * n, 6);
-  std::vector<float> int8_direct(static_cast<size_t>(m * n));
-  std::vector<float> fp32_direct(static_cast<size_t>(m * n));
-  gemm::RunEx(gemm::ActiveKernel(), gemm::Precision::kInt8, gemm::Layout::kNN,
-              a.data(), b.data(), int8_direct.data(), m, k, n, false);
-  gemm::Run(gemm::ActiveKernel(), gemm::Layout::kNN, a.data(), b.data(),
-            fp32_direct.data(), m, k, n, false);
-  ASSERT_NE(0, std::memcmp(int8_direct.data(), fp32_direct.data(),
-                           int8_direct.size() * sizeof(float)))
-      << "test needs a shape where int8 and fp32 visibly differ";
-
-  std::vector<float> via_dispatch(static_cast<size_t>(m * n));
-  {
-    NoGradGuard guard;  // inference: quantized path active
-    internal::Gemm(a.data(), b.data(), via_dispatch.data(), m, k, n, false);
-  }
-  EXPECT_EQ(0, std::memcmp(via_dispatch.data(), int8_direct.data(),
-                           via_dispatch.size() * sizeof(float)));
-
-  internal::Gemm(a.data(), b.data(), via_dispatch.data(), m, k, n,
-                 false);  // grad mode on: forced fp32
-  EXPECT_EQ(0, std::memcmp(via_dispatch.data(), fp32_direct.data(),
-                           via_dispatch.size() * sizeof(float)));
-
-  EXPECT_EQ(gemm::SetPrecision(prev), prev);
 }
 
 }  // namespace

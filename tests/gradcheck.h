@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/gemm_kernel.h"
 #include "tensor/tensor.h"
 
 namespace dot::testing {
@@ -20,16 +19,6 @@ inline void ExpectGradientsMatch(
     std::vector<Tensor> inputs,
     const std::function<Tensor(const std::vector<Tensor>&)>& fn,
     float h = 1e-2f, float rtol = 5e-2f, float atol = 1e-3f) {
-  // Gradients are defined against the fp32 forward (the engine pins
-  // recording forwards to fp32 itself, but the finite-difference probes
-  // below run under NoGradGuard where DOT_GEMM_PRECISION=int8 would kick
-  // in and its quantization noise dwarfs the h-perturbation). Pin fp32 for
-  // the whole check.
-  struct PrecisionPin {
-    gemm::Precision prev = gemm::SetPrecision(gemm::Precision::kFp32);
-    ~PrecisionPin() { gemm::SetPrecision(prev); }
-  } pin;
-
   for (auto& t : inputs) {
     t.set_requires_grad(true);
     t.ZeroGrad();  // callers may reuse tensors across checks

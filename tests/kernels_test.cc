@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/gemm_kernel.h"
 #include "tensor/ops.h"
 #include "tensor/ops_internal.h"
 
@@ -22,13 +21,6 @@ const bool kForceThreads = [] {
   setenv("DOT_NUM_THREADS", "4", /*overwrite=*/0);
   return true;
 }();
-
-// Scoped fp32 override for tests whose tolerances assume the fp32 kernels
-// even when the suite runs under DOT_GEMM_PRECISION=int8.
-struct Fp32Pin {
-  gemm::Precision prev = gemm::SetPrecision(gemm::Precision::kFp32);
-  ~Fp32Pin() { gemm::SetPrecision(prev); }
-};
 
 struct GemmCase {
   int64_t m, k, n;
@@ -181,10 +173,7 @@ TEST_P(ConvProperty, MatchesNaiveDirectConvolution) {
   Tensor x = RandomTensor({p.n, p.c, p.h, p.w}, 11);
   Tensor w = RandomTensor({p.oc, p.c, p.kernel, p.kernel}, 12);
   Tensor bias = p.with_bias ? RandomTensor({p.oc}, 13) : Tensor();
-  // This checks the im2col *lowering* against direct convolution at fp32
-  // tolerance; under DOT_GEMM_PRECISION=int8 the error is quantization-
-  // scale, which the int8 differential wall bounds instead.
-  Fp32Pin pin;
+  // This checks the im2col *lowering* against direct convolution.
   NoGradGuard guard;
   Tensor y = Conv2d(x, w, bias, p.stride, p.pad);
   int64_t oh = (p.h + 2 * p.pad - p.kernel) / p.stride + 1;
