@@ -26,6 +26,11 @@ import statistics
 import subprocess
 import sys
 
+# The checkout this script lives in, so it runs from any directory.
+DEFAULT_BENCHMARK = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "BENCHMARK.json")
+
 
 def parse_seeds(text):
     """'101-110' or '101,103,105' -> list of ints."""
@@ -124,8 +129,9 @@ def main():
                         help="measured seconds (default: BENCHMARK.json)")
     parser.add_argument("--out", help="JSONL file the results append to")
     parser.add_argument("--report", help="only report from this JSONL file")
-    parser.add_argument("--benchmark", default="BENCHMARK.json",
-                        help="benchmark declaration (default: ./BENCHMARK.json)")
+    parser.add_argument("--benchmark", default=DEFAULT_BENCHMARK,
+                        help="benchmark declaration (default: the "
+                        "BENCHMARK.json of this script's checkout)")
     args = parser.parse_args()
 
     with open(args.benchmark) as fh:

@@ -117,10 +117,6 @@ struct DotEstimate {
   double minutes = 0;
   Pit pit{1};
   ServedQuality quality = ServedQuality::kFull;
-  /// Per-query confidence signal (DESIGN.md §5k): cross-draw spread over
-  /// K reduced-step diffusion draws plus a magnitude-proportional floor
-  /// (see EstimateUncertainty). Negative when not computed for this answer.
-  double uncertainty_minutes = -1;
 };
 
 /// \brief Stage-1 output of DotOracle::TryInferPits.

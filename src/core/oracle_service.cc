@@ -7,7 +7,6 @@
 #include <numeric>
 #include <random>
 #include <thread>
-#include <unordered_set>
 
 #include "obs/trace.h"
 #include "obs/window.h"
@@ -17,7 +16,6 @@ namespace dot {
 
 OracleService::Metrics::Metrics() {
   auto& reg = obs::MetricsRegistry::Get();
-  query_latency_us = reg.GetHistogram("dot_service_query_latency_us");
   batch_latency_us = reg.GetHistogram("dot_service_batch_latency_us");
   batch_size = reg.GetHistogram("dot_service_batch_size",
                                 obs::Histogram::LinearBounds(1, 1, 64));
@@ -193,7 +191,7 @@ bool OracleService::LookupNeighborLocked(int64_t bucket, Pit* pit) {
 
 OracleService::MissServe OracleService::ServeMisses(
     const std::vector<OdtInput>& miss_odts, const QueryOptions& opts,
-    const Stopwatch& sw) {
+    const Stopwatch& sw, bool sample) {
   size_t m = miss_odts.size();
   MissServe out;
   out.pits.assign(m, Pit{1});
@@ -206,8 +204,8 @@ OracleService::MissServe OracleService::ServeMisses(
   // linearly in the step count (the denoiser dominates each step).
   ServedQuality target = ServedQuality::kFull;
   int64_t steps = 0;  // 0 = the oracle's configured sample_steps
-  bool skip_stage1 = false;
-  if (opts.deadline_ms > 0) {
+  bool skip_stage1 = !sample;
+  if (sample && opts.deadline_ms > 0) {
     // Cost prediction from the rolling window (current load); an idle
     // window falls back to the lifetime histogram so a freshly quiet
     // server still triages from what it has seen.
@@ -272,97 +270,40 @@ void OracleService::RecordQuality(ServedQuality q) {
 
 Result<DotEstimate> OracleService::Query(const OdtInput& odt,
                                          const QueryOptions& opts) {
-  DOT_RETURN_NOT_OK(ValidateQuery(odt));
-  if (!oracle_->trained()) {
-    return Status::FailedPrecondition("oracle not trained");
-  }
-  obs::TraceSpan span("OracleService::Query");
-  Stopwatch sw;
-  if (opts.stage1_failed != nullptr) *opts.stage1_failed = false;
-  metrics_.queries->Increment();
-  int64_t bucket = BucketOf(odt);
-  bool hit = false;
-  Pit pit{1};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.queries;
-    auto it = cache_.find(bucket);
-    if (it != cache_.end()) {
-      ++stats_.cache_hits;
-      Touch(it);
-      pit = it->second.pit;  // copy: the entry may be evicted after unlock
-      hit = true;
-    } else {
-      ++stats_.cache_misses;
-    }
-  }
-  if (hit) {
-    metrics_.cache_hits->Increment();
-    Stopwatch stage2_sw;
-    std::unique_lock<std::mutex> olock(oracle_mu_);
-    double minutes = oracle_->EstimateFromPits({pit}, {odt})[0];
-    olock.unlock();
-    if (opts.timing != nullptr) {
-      opts.timing->stage2_us = stage2_sw.ElapsedSeconds() * 1e6;
-    }
-    metrics_.query_latency_us->Observe(sw.ElapsedSeconds() * 1e6);
-    return DotEstimate{minutes, std::move(pit)};
-  }
-  metrics_.cache_misses->Increment();
-  Stopwatch stage1_sw;
-  MissServe served = ServeMisses({odt}, opts, sw);
-  if (opts.timing != nullptr) {
-    opts.timing->stage1_us = stage1_sw.ElapsedSeconds() * 1e6;
-  }
-  if (opts.stage1_failed != nullptr && served.failed[0]) {
-    *opts.stage1_failed = true;
-  }
-  DotEstimate est;
-  est.quality = served.quality[0];
-  est.pit = std::move(served.pits[0]);
-  if (est.quality == ServedQuality::kFallback) {
-    // Ladder tail: a neighboring time-of-day bucket, else the fallback.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (LookupNeighborLocked(bucket, &est.pit)) {
-      est.quality = ServedQuality::kCachedNeighbor;
-    }
-  }
-  if (est.quality == ServedQuality::kFallback) {
-    est.minutes = FallbackMinutes(odt);
-  } else {
-    Stopwatch stage2_sw;
-    std::unique_lock<std::mutex> olock(oracle_mu_);
-    est.minutes = oracle_->EstimateFromPits({est.pit}, {odt})[0];
-    olock.unlock();
-    if (opts.timing != nullptr) {
-      opts.timing->stage2_us = stage2_sw.ElapsedSeconds() * 1e6;
-    }
-  }
-  if (est.quality == ServedQuality::kFull) {
-    // Degraded PiTs are served but never cached: a warm entry promises
-    // full quality to every later hit.
-    std::lock_guard<std::mutex> lock(mu_);
-    InsertLocked(bucket, est.pit);
-  }
-  RecordQuality(est.quality);
-  metrics_.query_latency_us->Observe(sw.ElapsedSeconds() * 1e6);
-  return est;
+  DOT_ASSIGN_OR_RETURN(auto out, QueryBatch({odt}, opts));
+  return std::move(out[0]);
 }
 
 Result<std::vector<DotEstimate>> OracleService::QueryBatch(
     const std::vector<OdtInput>& odts, const QueryOptions& opts) {
+  return ServeWave(odts, opts, /*sample_misses=*/true);
+}
+
+Result<std::vector<DotEstimate>> OracleService::QueryDegraded(
+    const std::vector<OdtInput>& odts) {
+  return ServeWave(odts, {}, /*sample_misses=*/false);
+}
+
+Result<std::vector<DotEstimate>> OracleService::ServeWave(
+    const std::vector<OdtInput>& odts, const QueryOptions& opts,
+    bool sample_misses) {
   if (odts.empty()) return std::vector<DotEstimate>{};
   ServiceWave wave;
   wave.service = this;
   wave.odts = odts;
   wave.positions.resize(odts.size());
   std::iota(wave.positions.begin(), wave.positions.end(), size_t{0});
-  DOT_RETURN_NOT_OK(QueryWaves({&wave}, opts));
+  DOT_RETURN_NOT_OK(RunWaves({&wave}, opts, sample_misses));
   return std::move(wave.estimates);
 }
 
 Status OracleService::QueryWaves(const std::vector<ServiceWave*>& waves,
                                  const QueryOptions& opts) {
+  return RunWaves(waves, opts, /*sample_misses=*/true);
+}
+
+Status OracleService::RunWaves(const std::vector<ServiceWave*>& waves,
+                               const QueryOptions& opts, bool sample_misses) {
   if (opts.stage1_failed != nullptr) *opts.stage1_failed = false;
   for (ServiceWave* w : waves) {
     DOT_CHECK(w->positions.size() == w->odts.size())
@@ -380,7 +321,8 @@ Status OracleService::QueryWaves(const std::vector<ServiceWave*>& waves,
   }
   if (waves.empty()) return Status::OK();
   OracleService* lead = waves[0]->service;
-  obs::TraceSpan span("OracleService::QueryBatch");
+  obs::TraceSpan span(sample_misses ? "OracleService::QueryBatch"
+                                    : "OracleService::QueryDegraded");
   Stopwatch sw;
 
   // The group's queries in wave order: member m is query order[m].second
@@ -438,7 +380,9 @@ Status OracleService::QueryWaves(const std::vector<ServiceWave*>& waves,
   // Deduplicate the misses by bucket across the group, in wave order. A
   // bucket's first query conditions its sample; later ones ride along and
   // count as dedup hits for their own service, exactly as sequential
-  // queries would reuse the fresh cache entry.
+  // queries would reuse the fresh cache entry. A ladder-only wave counts
+  // neither: it never tries the fill, so its misses are not misses the
+  // cache could have prevented.
   std::vector<size_t> slot(n, 0);
   std::vector<OdtInput> miss_odts;
   std::map<std::pair<int64_t, int64_t>, size_t> slot_of;  // (tod_slots, bucket)
@@ -448,23 +392,20 @@ Status OracleService::QueryWaves(const std::vector<ServiceWave*>& waves,
     size_t w = order[m].first;
     auto [it, first] = slot_of.try_emplace(
         {waves[w]->service->config_.tod_slots, buckets[m]}, miss_odts.size());
-    if (first) {
-      miss_odts.push_back(*odt[m]);
-      ++misses[w];
-    } else {
-      ++dedup[w];
-    }
+    if (first) miss_odts.push_back(*odt[m]);
+    if (sample_misses) ++(first ? misses[w] : dedup[w]);
     slot[m] = it->second;
   }
 
   // One batched miss-fill through the degradation ladder: one reverse-
   // diffusion pass (possibly at reduced steps) denoises every missing
-  // bucket's PiT, and the samples it fails fall to their slice's
-  // neighbor-bucket / fallback answers instead of failing the wave.
+  // bucket's PiT, and the samples it fails (or, in a ladder-only wave, all
+  // of them) fall to their slice's neighbor-bucket / fallback answers
+  // instead of failing the wave.
   MissServe served;
   if (!miss_odts.empty()) {
     Stopwatch stage1_sw;
-    served = lead->ServeMisses(miss_odts, opts, sw);
+    served = lead->ServeMisses(miss_odts, opts, sw, sample_misses);
     if (opts.timing != nullptr) {
       opts.timing->stage1_us = stage1_sw.ElapsedSeconds() * 1e6;
     }
@@ -546,111 +487,6 @@ Status OracleService::QueryWaves(const std::vector<ServiceWave*>& waves,
       *opts.stage1_failed = true;
     }
     svc->metrics_.batch_latency_us->Observe(sw.ElapsedSeconds() * 1e6);
-  }
-  return Status::OK();
-}
-
-Result<std::vector<DotEstimate>> OracleService::QueryDegraded(
-    const std::vector<OdtInput>& odts) {
-  if (odts.empty()) return std::vector<DotEstimate>{};
-  for (size_t i = 0; i < odts.size(); ++i) {
-    Status s = ValidateQuery(odts[i]);
-    if (!s.ok()) {
-      return Status::InvalidArgument("batch query " + std::to_string(i) +
-                                     ": " + s.message());
-    }
-  }
-  if (!oracle_->trained()) {
-    return Status::FailedPrecondition("oracle not trained");
-  }
-  obs::TraceSpan span("OracleService::QueryDegraded");
-  Stopwatch sw;
-  size_t n = odts.size();
-  metrics_.queries->Increment(static_cast<int64_t>(n));
-  std::vector<Pit> pits(n, Pit{1});
-  std::vector<ServedQuality> quality(n, ServedQuality::kFallback);
-  int64_t wave_hits = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.queries += static_cast<int64_t>(n);
-    ++stats_.batch_queries;
-    for (size_t i = 0; i < n; ++i) {
-      int64_t bucket = BucketOf(odts[i]);
-      auto it = cache_.find(bucket);
-      if (it != cache_.end()) {
-        ++stats_.cache_hits;
-        ++wave_hits;
-        Touch(it);
-        pits[i] = it->second.pit;
-        quality[i] = ServedQuality::kFull;
-      } else if (LookupNeighborLocked(bucket, &pits[i])) {
-        quality[i] = ServedQuality::kCachedNeighbor;
-      }
-      // No cache-miss accounting: this path never attempts the fill, so a
-      // miss here is not a miss the cache could have prevented.
-    }
-  }
-  metrics_.cache_hits->Increment(wave_hits);
-
-  // One batched stage-2 pass over every query that found a PiT; the rest
-  // get the fallback estimate. Stage 1 is never touched.
-  std::vector<size_t> with_pit;
-  with_pit.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (quality[i] != ServedQuality::kFallback) with_pit.push_back(i);
-  }
-  std::vector<double> minutes(n, 0.0);
-  if (!with_pit.empty()) {
-    std::vector<Pit> est_pits;
-    std::vector<OdtInput> est_odts;
-    est_pits.reserve(with_pit.size());
-    est_odts.reserve(with_pit.size());
-    for (size_t i : with_pit) {
-      est_pits.push_back(pits[i]);
-      est_odts.push_back(odts[i]);
-    }
-    std::vector<double> est;
-    {
-      std::lock_guard<std::mutex> olock(oracle_mu_);
-      est = oracle_->EstimateFromPits(est_pits, est_odts);
-    }
-    for (size_t k = 0; k < with_pit.size(); ++k) minutes[with_pit[k]] = est[k];
-  }
-  std::vector<DotEstimate> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    RecordQuality(quality[i]);
-    double m = quality[i] == ServedQuality::kFallback ? FallbackMinutes(odts[i])
-                                                      : minutes[i];
-    out.push_back(DotEstimate{m, std::move(pits[i]), quality[i]});
-  }
-  metrics_.batch_latency_us->Observe(sw.ElapsedSeconds() * 1e6);
-  return out;
-}
-
-Status OracleService::Warm(const std::vector<OdtInput>& odts) {
-  // Deduplicate buckets, then batch-infer the missing ones.
-  std::vector<OdtInput> missing;
-  std::vector<int64_t> buckets;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::unordered_set<int64_t> queued;
-    for (const auto& odt : odts) {
-      int64_t bucket = BucketOf(odt);
-      if (cache_.count(bucket) || !queued.insert(bucket).second) continue;
-      missing.push_back(odt);
-      buckets.push_back(bucket);
-    }
-  }
-  if (missing.empty()) return Status::OK();
-  std::vector<Pit> pits;
-  {
-    std::lock_guard<std::mutex> olock(oracle_mu_);
-    pits = oracle_->InferPits(missing);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < pits.size(); ++i) {
-    InsertLocked(buckets[i], std::move(pits[i]));
   }
   return Status::OK();
 }

@@ -4,15 +4,16 @@
 // queries for the same OD neighborhood skip the diffusion sampling
 // entirely (the expensive part of Table 5's estimation cost).
 //
-// QueryBatch is the high-throughput entry point: a request wave is
-// partitioned into cache hits and misses, the misses are deduplicated by
-// bucket and denoised in a single batched reverse-diffusion pass, and all
-// travel times come from one batched stage-2 pass. Results are bitwise
-// identical to issuing the same queries sequentially (the diffusion
-// samplers fork one noise stream per query, in query order). QueryWaves
-// is the same wave body for several services holding one model (the
-// shards of a router, DESIGN.md §5i): each keeps its own cache, and the
-// group shares the two passes.
+// Every answer comes from one wave body: a request wave is partitioned
+// into cache hits and misses, the misses are deduplicated by bucket and
+// denoised in a single batched reverse-diffusion pass, and all travel
+// times come from one batched stage-2 pass. Results are bitwise identical
+// to issuing the same queries sequentially (the diffusion samplers fork
+// one noise stream per query, in query order). QueryWaves runs the body
+// for several services holding one model (the shards of a router,
+// DESIGN.md §5i): each keeps its own cache, and the group shares the two
+// passes. QueryBatch is its one-service case, Query its one-query case,
+// and QueryDegraded the same body with stage 1 switched off.
 //
 // The service is thread-safe: the cache and statistics are guarded by one
 // mutex and calls into the underlying DotOracle (which is stateful and not
@@ -97,7 +98,7 @@ struct QueryOptions {
 /// \brief Query statistics of an OracleService.
 struct OracleServiceStats {
   int64_t queries = 0;        ///< individual queries (batch members count)
-  int64_t batch_queries = 0;  ///< QueryBatch invocations
+  int64_t batch_queries = 0;  ///< waves served
   int64_t cache_hits = 0;     ///< answered from a pre-existing cache entry
   /// Batch "free riders": queries whose bucket missed the cache but was
   /// filled by another query of the same wave, so they cost no extra
@@ -150,6 +151,7 @@ class OracleService {
   /// miss that busts the deadline or exhausts stage-1 retries is answered
   /// at a degraded ladder level (see DotEstimate::quality) rather than
   /// failing; only invalid input or an untrained oracle return an error.
+  /// The one-query case of QueryBatch: a wave of one.
   Result<DotEstimate> Query(const OdtInput& odt, const QueryOptions& opts = {});
 
   /// Answers a wave of queries: cache hits are served from their buckets,
@@ -174,23 +176,21 @@ class OracleService {
   /// replica, under its oracle lock. `opts.timing` receives the pass
   /// times, `opts.stage1_failed` the OR over slices. An invalid query
   /// fails the call with InvalidArgument (naming its index in its slice)
-  /// before anything is served.
+  /// before anything is served. Every other entry point runs this body.
   static Status QueryWaves(const std::vector<ServiceWave*>& waves,
                            const QueryOptions& opts = {});
 
   /// Answers a wave *without ever running stage 1* — the bounded-failover
-  /// path for queries whose home shard is quarantined: an exact cached
-  /// bucket serves at kFull, a neighboring time-of-day bucket at
-  /// kCachedNeighbor, everything else at kFallback, so the kFull answers
-  /// are exactly the cache hits. One batched stage-2 pass covers every
-  /// query that found a PiT. Never trains, never samples, so it is safe to
-  /// call against a shard whose model is poisoned.
+  /// path for queries whose home shard is quarantined. The QueryBatch body
+  /// with stage 1 switched off: an exact cached bucket serves at kFull, a
+  /// neighboring time-of-day bucket at kCachedNeighbor, everything else at
+  /// kFallback, so the kFull answers are exactly the cache hits. One
+  /// batched stage-2 pass covers every query that found a PiT. Nothing is
+  /// cached, and no miss or dedup hit is counted: the call never tries to
+  /// fill a miss. Never trains, never samples, so it is safe to call
+  /// against a shard whose model is poisoned.
   Result<std::vector<DotEstimate>> QueryDegraded(
       const std::vector<OdtInput>& odts);
-
-  /// Pre-computes the buckets for a set of expected queries (e.g. a
-  /// morning's dispatch plan) so later Query calls are cache hits.
-  Status Warm(const std::vector<OdtInput>& odts);
 
   /// Snapshot of the running statistics.
   OracleServiceStats stats() const;
@@ -215,6 +215,15 @@ class OracleService {
     /// QueryOptions::stage1_failed.
     std::vector<char> failed;
   };
+
+  /// QueryBatch / QueryDegraded: this service's wave of `odts`.
+  Result<std::vector<DotEstimate>> ServeWave(const std::vector<OdtInput>& odts,
+                                             const QueryOptions& opts,
+                                             bool sample_misses);
+  /// The one wave body (QueryWaves). With `sample_misses` false no miss is
+  /// sampled, counted or cached: every miss takes the ladder tail.
+  static Status RunWaves(const std::vector<ServiceWave*>& waves,
+                         const QueryOptions& opts, bool sample_misses);
 
   int64_t BucketOf(const OdtInput& odt) const;
   /// Moves `it`'s bucket to the MRU position. Caller holds mu_.
@@ -241,9 +250,10 @@ class OracleService {
   bool LookupNeighborLocked(int64_t bucket, Pit* pit);
   /// Runs stage 1's part of the degradation ladder over a set of cache
   /// misses: deadline triage, the full pass, then a reduced-steps round for
-  /// the misses it failed.
+  /// the misses it failed. Without `sample` it skips stage 1 for all.
   MissServe ServeMisses(const std::vector<OdtInput>& miss_odts,
-                        const QueryOptions& opts, const Stopwatch& sw);
+                        const QueryOptions& opts, const Stopwatch& sw,
+                        bool sample);
   /// The estimate of last resort (kFallback).
   double FallbackMinutes(const OdtInput& odt) const;
   /// Bumps the per-level degradation counter (no-op for kFull).
@@ -256,9 +266,8 @@ class OracleService {
   // resolved once here so the hot path never touches the registry map.
   struct Metrics {
     Metrics();
-    obs::Histogram* query_latency_us;   // per-Query wall time
-    obs::Histogram* batch_latency_us;   // per-QueryBatch wall time
-    obs::Histogram* batch_size;         // QueryBatch wave sizes
+    obs::Histogram* batch_latency_us;   // per-wave wall time
+    obs::Histogram* batch_size;         // wave sizes
     obs::Counter* queries;
     obs::Counter* cache_hits;
     obs::Counter* dedup_hits;

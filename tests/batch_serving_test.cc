@@ -193,7 +193,7 @@ TEST_F(BatchServingFixture, QueryBatchPartitionsHitsAndMisses) {
   ASSERT_TRUE(r.ok());
   OracleServiceStats stats = service.stats();
   EXPECT_EQ(stats.queries, 5);        // 1 single + 4 batch members
-  EXPECT_EQ(stats.batch_queries, 1);
+  EXPECT_EQ(stats.batch_queries, 2);  // the single Query is a wave too
   // The pre-filled bucket is a cache hit, the in-wave duplicate is a dedup
   // hit on the wave's miss-fill, and the two new buckets are batched misses.
   EXPECT_EQ(stats.cache_hits, 1);

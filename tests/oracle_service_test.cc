@@ -3,6 +3,7 @@
 #include "core/oracle_service.h"
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -112,14 +113,54 @@ TEST_F(OracleServiceFixture, DifferentSlotsMissCache) {
   EXPECT_EQ(service.cache_size(), 2);
 }
 
-TEST_F(OracleServiceFixture, WarmPrecomputesBuckets) {
+TEST_F(OracleServiceFixture, QueryDegradedServesTheLadderWithoutStage1) {
+  // The failover path of a quarantined shard: the exact bucket serves at
+  // kFull, a neighbouring time-of-day bucket at kCachedNeighbor and
+  // anything else at kFallback, without a stage-1 pass, a cache insert or
+  // miss accounting.
   OracleService service(oracle_);
-  std::vector<OdtInput> odts;
-  for (size_t i = 0; i < 5; ++i) odts.push_back(dataset_->split.test[i].odt);
-  ASSERT_TRUE(service.Warm(odts).ok());
-  EXPECT_GT(service.cache_size(), 0);
-  for (const auto& odt : odts) ASSERT_TRUE(service.Query(odt).ok());
-  EXPECT_EQ(service.stats().cache_hits, service.stats().queries);
+  OdtInput a = dataset_->split.test[4].odt;
+  Result<std::vector<DotEstimate>> fill = service.QueryBatch({a});
+  ASSERT_TRUE(fill.ok());
+  ASSERT_EQ((*fill)[0].quality, ServedQuality::kFull);
+  OdtInput next_slot = a;
+  next_slot.departure_time += 86400 / OracleServiceConfig{}.tod_slots;
+  OdtInput far_slot = a;
+  far_slot.departure_time += 6 * 3600;  // no cached bucket within the radius
+
+  obs::Histogram* stage1 = obs::MetricsRegistry::Get().GetHistogram(
+      "dot_oracle_stage1_latency_us");
+  int64_t stage1_before = stage1->Count();
+  int64_t size_before = service.cache_size();
+  OracleServiceStats before = service.stats();
+  Result<std::vector<DotEstimate>> r =
+      service.QueryDegraded({a, next_slot, far_slot, far_slot});
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->size(), 4u);
+
+  auto same_pit = [](const Pit& x, const Pit& y) {
+    return x.tensor().numel() == y.tensor().numel() &&
+           std::memcmp(x.tensor().data(), y.tensor().data(),
+                       sizeof(float) * x.tensor().numel()) == 0;
+  };
+  const DotEstimate& filled = (*fill)[0];
+  EXPECT_EQ((*r)[0].quality, ServedQuality::kFull);
+  EXPECT_EQ(std::memcmp(&(*r)[0].minutes, &filled.minutes, sizeof(double)), 0);
+  EXPECT_TRUE(same_pit((*r)[0].pit, filled.pit));
+  EXPECT_EQ((*r)[1].quality, ServedQuality::kCachedNeighbor);
+  EXPECT_TRUE(same_pit((*r)[1].pit, filled.pit));
+  for (size_t i : {2, 3}) {
+    EXPECT_EQ((*r)[i].quality, ServedQuality::kFallback) << "query " << i;
+    EXPECT_EQ((*r)[i].minutes, oracle_->prior_mean_minutes()) << "query " << i;
+  }
+
+  EXPECT_EQ(stage1->Count(), stage1_before);
+  EXPECT_EQ(service.cache_size(), size_before);
+  OracleServiceStats after = service.stats();
+  EXPECT_EQ(after.queries - before.queries, 4);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 1);
+  EXPECT_EQ(after.cache_misses - before.cache_misses, 0);
+  EXPECT_EQ(after.dedup_hits - before.dedup_hits, 0);
 }
 
 TEST_F(OracleServiceFixture, ClearCacheResets) {
@@ -187,7 +228,7 @@ TEST_F(OracleServiceFixture, CacheHitRefreshesRecency) {
   EXPECT_EQ(service.stats().evictions, 1);
 }
 
-TEST_F(OracleServiceFixture, WarmEvictsWhenOverCapacity) {
+TEST_F(OracleServiceFixture, OneWaveEvictsWhenOverCapacity) {
   OracleServiceConfig cfg;
   cfg.max_entries = 3;
   OracleService service(oracle_, cfg);
@@ -198,7 +239,7 @@ TEST_F(OracleServiceFixture, WarmEvictsWhenOverCapacity) {
     odt.departure_time += k * 3600;
     odts.push_back(odt);
   }
-  ASSERT_TRUE(service.Warm(odts).ok());
+  ASSERT_TRUE(service.QueryBatch(odts).ok());
   EXPECT_EQ(service.cache_size(), 3);
   EXPECT_EQ(service.stats().evictions, 3);
 }
@@ -253,8 +294,8 @@ TEST_F(OracleServiceFixture, ScriptedWorkloadAccountsHitsMissesDedup) {
   obs::MetricsSnapshot snap = obs::SnapshotMetrics();
   EXPECT_GE(snap.counters.at("dot_service_queries_total"), 8);
   EXPECT_GE(snap.counters.at("dot_service_dedup_hits_total"), 1);
-  EXPECT_GE(snap.histograms.at("dot_service_query_latency_us").count, 2);
-  EXPECT_GT(snap.histograms.at("dot_service_query_latency_us").p50, 0.0);
+  EXPECT_GE(snap.histograms.at("dot_service_batch_latency_us").count, 2);
+  EXPECT_GT(snap.histograms.at("dot_service_batch_latency_us").p50, 0.0);
   EXPECT_GE(snap.histograms.at("dot_service_batch_size").count, 2);
 }
 
@@ -361,7 +402,7 @@ TEST_F(OracleServiceFixture, ConcurrentQueriesKeepStatsConsistent) {
   OracleServiceStats stats = service.stats();
   // Half the threads issue 1 query per iteration, half issue 2.
   EXPECT_EQ(stats.queries, kThreads / 2 * kItersPerThread * 3);
-  EXPECT_EQ(stats.batch_queries, kThreads / 2 * kItersPerThread);
+  EXPECT_EQ(stats.batch_queries, kThreads * kItersPerThread);
   EXPECT_LE(stats.cache_hits, stats.queries);
   EXPECT_LE(service.cache_size(), cfg.max_entries);
 }
