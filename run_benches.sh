@@ -9,8 +9,6 @@ export DOT_BENCH_BATCHED_JSON=${DOT_BENCH_BATCHED_JSON:-BENCH_batched.json}
 export DOT_BENCH_SERVING_METRICS_JSON=${DOT_BENCH_SERVING_METRICS_JSON:-BENCH_serving_metrics.json}
 # bench_gemm dumps the per-kernel GEMM throughput table (naive/blocked/simd).
 export DOT_BENCH_GEMM_JSON=${DOT_BENCH_GEMM_JSON:-BENCH_gemm.json}
-# bench_memory dumps storage-pool allocation counts + steady-state latency.
-export DOT_BENCH_MEMORY_JSON=${DOT_BENCH_MEMORY_JSON:-BENCH_memory.json}
 # bench_serving_load dumps the socket front-end throughput/latency sweep
 # (closed loop + open-loop Poisson rates, wave sizes, degradation mix).
 export DOT_BENCH_SERVING_LOAD_JSON=${DOT_BENCH_SERVING_LOAD_JSON:-BENCH_serving.json}

@@ -13,36 +13,34 @@
 #      runs the robustness suite — the failpoint-driven failure paths (torn
 #      writes, NaN losses, degraded serving) run under both sanitizers so
 #      the error paths themselves are memory/UB clean (tier1 runs under
-#      this build in the stage 6-7 matrix);
+#      this build in the stage 6 matrix);
 #   5. smoke-tests DOT_FAILPOINTS environment arming end to end;
-#   6. kernel legs of the ASan+UBSan tier1 config matrix: tier1 + the
-#      differential GEMM harness under DOT_GEMM_KERNEL=naive, blocked, and
-#      simd (simd degrades to blocked gracefully on CPUs without AVX2+FMA,
-#      and the simd-only differential cases GTEST_SKIP themselves; unset
-#      resolves exactly as simd does, so the simd leg is the plain run);
-#   7. storage-pool legs of the same matrix (one loop with stage 6): tier1
-#      + the alias/pool suite with the pool ON and poison-on-return active
-#      (reads of recycled-but-unwritten buffers surface as NaNs), then
-#      tier1 once with DOT_TENSOR_POOL=off so every recycling path also
-#      runs as plain heap alloc/free under ASan;
-#   8. serving front-end gate: the wire-protocol fuzzing and fake-clock
+#   6. the ASan+UBSan tier1 config matrix, one leg per GEMM kernel: tier1
+#      + the differential GEMM harness under DOT_GEMM_KERNEL=naive,
+#      blocked, and simd (simd degrades to blocked gracefully on CPUs
+#      without AVX2+FMA, and the simd-only differential cases GTEST_SKIP
+#      themselves; unset resolves exactly as simd does, so the simd leg is
+#      the plain run). Every leg fills each fresh heap buffer with 0xff
+#      bytes, a NaN as a float, so an op that reads an output element it
+#      never wrote surfaces as NaN in the numeric assertions;
+#   7. serving front-end gate: the wire-protocol fuzzing and fake-clock
 #      batcher suites under ASan+UBSan, the multi-client socket stress
 #      under TSan, and a loopback e2e smoke (dot_server binary + the
 #      load-gen client, SIGTERM, graceful-drain check);
-#   9. observability plane gate: the rolling-window / slow-ring / gauge
+#   8. observability plane gate: the rolling-window / slow-ring / gauge
 #      suites under TSan (lock-free record paths are cross-thread), then a
 #      live admin-plane smoke against the dot_server binary — /healthz,
 #      /metrics (same lint as stage 3, plus the inflight gauge and windowed
 #      percentiles), /varz, /slowz, /tracez, a SIGUSR1 stderr stats dump,
 #      and the /readyz ready->draining flip during the SIGTERM lame-duck;
-#  10. sharded-oracle chaos gate: the chaos harness (crash/NaN/delay
+#   9. sharded-oracle chaos gate: the chaos harness (crash/NaN/delay
 #      injection into shards, quarantine + probe recovery, mid-load hot
 #      swaps) under TSan, then a loopback shard-kill smoke — dot_server
 #      with 3 shards and a failpoint-killed shard must quarantine it,
 #      keep answering, recover it after the fault clears, hot-swap every
 #      shard via POST /swapz, export well-formed per-shard labeled
 #      metrics, and drain with lost=0;
-#  11. continual adaptation gate (DESIGN.md §5k): the trainer-parity and
+#  10. continual adaptation gate (DESIGN.md §5k): the trainer-parity and
 #      adaptation suites (uncertainty deciles, fine-tune guards) under
 #      ASan+UBSan, the fine-tune -> re-seal -> hot-swap chaos case under
 #      TSan (the fleet serves while the round publishes), then a live
@@ -51,7 +49,7 @@
 #      the labeled dot_train_*{stage=stage1|stage2|finetune} series and
 #      still pass the Prometheus lint, SIGHUP must hot-swap once more,
 #      and the SIGTERM drain must report lost=0.
-# Every live smoke (stages 8-11) ends in the same drain check: a zero exit
+# Every live smoke (stages 7-10) ends in the same drain check: a zero exit
 # after SIGTERM and a "DRAINED ... lost=0" line.
 # Usage: scripts/check.sh [build_dir] [asan_build_dir]
 #   (defaults: build-tsan build-asan)
@@ -185,15 +183,16 @@ echo "== DOT_FAILPOINTS env arming smoke =="
 check "failpoint env smoke run" env DOT_FAILPOINTS="check.smoke=error" \
   "$BUILD_ASAN"/tests/util_test --gtest_filter='FailpointTest.*'
 
-echo "== tier1 config matrix under asan+ubsan: GEMM kernels, storage pool =="
-# Pool ON with poison-on-return: stale-read bugs that recycling could mask
-# become NaNs; the tier1 numeric assertions + storage_test catch them. Pool
-# OFF: every buffer is a fresh heap allocation freed eagerly, so ASan sees
-# true lifetimes (no free-list parking) across the whole tier1 suite. A
-# failing leg prints its ctest output.
+echo "== tier1 config matrix under asan+ubsan: GEMM kernels, NaN fill =="
+# Each tensor buffer is its own heap allocation, so ASan sees its true
+# lifetime. malloc_fill_byte=255 over the whole allocation makes every
+# fresh buffer read as NaN until written (ASan's default fills only the
+# first 4 KB, with 0xbe), so a kernel that skips an output element fails
+# the numeric assertions. A failing leg prints its ctest output.
+NAN_FILL=malloc_fill_byte=255:max_malloc_fill_size=2147483647
 LEG_LOG="$SCRATCH/leg.log"
-for LEG in DOT_GEMM_KERNEL=naive DOT_GEMM_KERNEL=blocked DOT_GEMM_KERNEL=simd \
-    "DOT_TENSOR_POOL=on DOT_POOL_POISON=1" DOT_TENSOR_POOL=off; do
+for KERNEL in naive blocked simd; do
+  LEG="DOT_GEMM_KERNEL=$KERNEL ASAN_OPTIONS=$NAN_FILL"
   echo "-- $LEG --"
   # $LEG stays unquoted: it is a list of VAR=value words for env.
   if env $LEG ctest --test-dir "$BUILD_ASAN" -L tier1 --output-on-failure \
@@ -203,12 +202,8 @@ for LEG in DOT_GEMM_KERNEL=naive DOT_GEMM_KERNEL=blocked DOT_GEMM_KERNEL=simd \
     cat "$LEG_LOG"
     fail "tier1 tests ($LEG)"
   fi
-  case $LEG in
-    DOT_GEMM_KERNEL=*) EXTRA=gemm_differential_test ;;
-    DOT_TENSOR_POOL=on*) EXTRA=storage_test ;;
-    *) continue ;;
-  esac
-  check "$EXTRA ($LEG)" env $LEG "$BUILD_ASAN/tests/$EXTRA"
+  check "gemm_differential_test ($LEG)" \
+    env $LEG "$BUILD_ASAN/tests/gemm_differential_test"
 done
 
 echo "== serving front-end: protocol + batching under asan+ubsan =="

@@ -177,11 +177,10 @@ Tensor Diffusion::Sample(const NoisePredictor& model, const Tensor& cond,
     int64_t b = xs->size(0);
     int64_t per = xs->numel() / b;
     std::vector<int64_t> steps(static_cast<size_t>(b));
-    // Steady-state allocation contract: x is updated in place, `pred` and
-    // every UNet intermediate die each iteration and recycle through the
-    // storage pool, and `steps` is reused. After the first iteration warms
-    // the free lists, a reverse step performs zero fresh heap allocations
-    // (asserted by the allocation-regression test via the pool counters).
+    // x is updated in place, `pred` and every UNet intermediate die each
+    // iteration, and `steps` is reused, so a sampling round leaves live
+    // tensor bytes where it found them (asserted by the allocation
+    // regression test).
     for (int64_t n = schedule_.num_steps() - 1; n >= 0; --n) {
       obs::TraceSpan step_span(
           "reverse_step", obs::TracingEnabled() ? StepArgs(n) : std::string());

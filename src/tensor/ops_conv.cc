@@ -201,9 +201,7 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias, int64_t stri
   int64_t cols = d.n * d.ohw();
   Tensor out = Tensor::Empty({d.n, d.oc, d.oh, d.ow});
   {
-    // Pooled scratch: both buffers recycle into the pool at scope exit, so
-    // repeated same-shape convs (every reverse-diffusion step) allocate
-    // nothing fresh. Contents start uninitialized; BatchIm2Col writes every
+    // Scratch contents start uninitialized; BatchIm2Col writes every
     // column element and Gemm(accumulate=false) fully overwrites tmp.
     storage::Scratch col(d.ckk() * cols);
     storage::Scratch tmp(d.oc * cols);
@@ -242,8 +240,8 @@ Tensor Conv2d(const Tensor& x, const Tensor& w, const Tensor& bias, int64_t stri
                bool need_b = has_bias && NeedsGrad(b);
 
                // Gather dOut into [OC, B*OHW] once (disjoint row segments
-               // per task, deterministic for any partitioning). Pooled
-               // scratch; every element is written by the copy below.
+               // per task, deterministic for any partitioning). Every
+               // scratch element is written by the copy below.
                storage::Scratch gall(d.oc * cols);
                float* gall_ptr = gall.data();
                ParallelFor(

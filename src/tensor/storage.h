@@ -1,28 +1,19 @@
-// Pooled tensor storage: the allocation substrate behind TensorImpl.
+// Tensor storage: the allocation substrate behind TensorImpl.
 //
 // Every float buffer in the tensor stack (op outputs, im2col / norm
-// scratch, parameters) is owned by a Storage object. Allocation goes
-// through a process-wide, thread-safe, size-bucketed buffer pool: requests
-// are rounded up to a power-of-two bucket, served from that bucket's free
-// list when possible, and recycled back into it when the Storage dies
-// (RAII — no explicit free anywhere in the stack). After one warmup pass of
-// a fixed-shape workload (e.g. a reverse-diffusion step) every subsequent
-// pass allocates exclusively from the free lists: zero fresh heap
-// allocations in steady state, which is what makes the 1000-step sampling
-// loop of Alg. 2 allocator-quiet.
+// scratch, parameters) is owned by a Storage object: one std::malloc of
+// exactly the requested number of floats, freed when the last handle dies
+// (RAII — no explicit free anywhere in the stack). The Storage and its
+// shared_ptr control block are one std::make_shared block, so an
+// allocation costs two heap calls.
 //
-// Knobs and safety:
-//   - DOT_TENSOR_POOL=on|off (or storage::SetPoolEnabled) disables
-//     recycling entirely; buffers are heap-allocated and freed eagerly.
-//     Results are bitwise identical either way (determinism_test sweeps it).
-//   - DOT_POOL_POISON=1 (or storage::SetPoisonEnabled) fills buffers with a
-//     signaling NaN pattern when they enter the free list, so any op that
-//     reads recycled-but-unwritten memory surfaces as NaNs instead of
-//     silently reusing stale values (and recycling cannot mask a
-//     use-after-free from ASan's perspective of freshly-written data).
-//   - Pool traffic is observable: storage::GetPoolStats() plus the obs
-//     gauges/counters dot_pool_{hits,misses,returns}_total,
-//     dot_pool_bytes_live, dot_pool_bytes_pooled, dot_pool_high_water_bytes.
+// Buffers carry malloc's alignment (16 bytes), not a cache line's: the
+// GEMM packs its operands into its own 64-byte aligned panels, and every
+// SIMD load and store in the tensor kernels is unaligned. DESIGN.md §5f
+// has the measurements against a size-bucketed, 64-byte aligned pool.
+//
+// Live bytes are observable: storage::GetStats() plus the obs gauges
+// dot_pool_bytes_live and dot_pool_high_water_bytes.
 
 #ifndef DOT_TENSOR_STORAGE_H_
 #define DOT_TENSOR_STORAGE_H_
@@ -32,72 +23,47 @@
 
 namespace dot {
 
-/// \brief A refcounted float buffer, allocated through the pool and
-/// recycled into it on destruction. Never constructed directly — use
+/// \brief A refcounted float buffer of a fixed size. Constructed only by
 /// Allocate(). TensorImpl holds one via shared_ptr; zero-copy views share
 /// the same Storage with a different offset/shape.
 class Storage {
+  // Lets make_shared call the public constructor while nothing outside
+  // Allocate() can name the argument it needs.
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
-  /// Pool-aware allocation able to hold `n` floats (capacity() may be
-  /// larger — the bucket size). n == 0 is allowed.
+  /// An uninitialized buffer of exactly `n` floats. n == 0 is allowed;
+  /// n < 0 and allocation failure die.
   static std::shared_ptr<Storage> Allocate(int64_t n);
 
+  Storage(Key, int64_t n);
   ~Storage();
   Storage(const Storage&) = delete;
   Storage& operator=(const Storage&) = delete;
 
   float* data() { return data_; }
   const float* data() const { return data_; }
-  /// Bucket capacity in floats (>= the requested size).
-  int64_t capacity() const { return capacity_; }
 
  private:
-  Storage(float* data, int64_t capacity) : data_(data), capacity_(capacity) {}
-
   float* data_ = nullptr;
-  int64_t capacity_ = 0;
+  int64_t numel_ = 0;
 };
 
 namespace storage {
 
-/// True when recycling is active. Initialized once from DOT_TENSOR_POOL
-/// (on|off|1|0, default on); SetPoolEnabled overrides at runtime.
-bool PoolEnabled();
-void SetPoolEnabled(bool enabled);
-
-/// Poison-on-return (DOT_POOL_POISON=1, default off; see file comment).
-bool PoisonEnabled();
-void SetPoisonEnabled(bool enabled);
-
-/// Point-in-time pool accounting. Counters are cumulative since process
-/// start (or the last ResetPoolStats); byte gauges are current values.
-struct PoolStats {
-  int64_t hits = 0;      ///< allocations served from a free list
-  int64_t misses = 0;    ///< allocations that had to touch the heap
-  int64_t returns = 0;   ///< buffers recycled into a free list
-  int64_t bytes_live = 0;      ///< bytes owned by live Storage objects
-  int64_t bytes_pooled = 0;    ///< bytes parked in free lists
-  int64_t high_water_bytes = 0;  ///< max bytes_live ever observed
+/// Bytes owned by live Storage objects, now and at their peak since
+/// process start.
+struct Stats {
+  int64_t bytes_live = 0;
+  int64_t high_water_bytes = 0;
 };
-PoolStats GetPoolStats();
+Stats GetStats();
 
-/// Zeroes the hit/miss/return counters and re-bases the high-water mark to
-/// the current live bytes. Byte gauges are preserved (they track real
-/// memory). For tests and bench sections.
-void ResetPoolStats();
-
-/// Frees every buffer parked in the free lists. Live Storage objects are
-/// untouched. Useful to re-measure warmup, or to release memory after a
-/// large one-off workload.
-void TrimPool();
-
-/// The bucket capacity (floats) an allocation of `n` floats maps to:
-/// max(kMinBucketFloats, next power of two >= n).
-int64_t BucketFor(int64_t n);
-
-/// \brief RAII pooled scratch buffer for op workspaces (im2col columns,
-/// GEMM staging, normalization caches). A thin Storage handle that is not
-/// a Tensor: no shape, no autograd, contents uninitialized.
+/// \brief RAII scratch buffer for op workspaces (im2col columns, GEMM
+/// staging). A thin Storage handle that is not a Tensor: no shape, no
+/// autograd, contents uninitialized.
 class Scratch {
  public:
   explicit Scratch(int64_t n) : s_(Storage::Allocate(n)) {}

@@ -3,16 +3,15 @@
 // This is the training substrate for the DOT reproduction: the conditioned
 // PiT denoiser (UNet), the MViT estimator, and all neural baselines are
 // trained with it. Design notes:
-//   * Row-major, always-contiguous data backed by pooled Storage
+//   * Row-major, always-contiguous data backed by a Storage buffer
 //     (tensor/storage.h): a TensorImpl is a (storage, offset, shape)
 //     triple. Reshape / Detach / Flatten and contiguous axis-0 Slice are
 //     zero-copy aliases into the same Storage; everything else copies.
 //     Aliasing contract: writes through a view are visible in the base (and
 //     vice versa); Clone() is the only guaranteed deep copy.
-//   * Tensor::Empty contents are UNINITIALIZED — recycled pool buffers hold
-//     stale bytes (or NaN poison under DOT_POOL_POISON). Every op must
-//     write each output element; use Zeros when zero-fill is part of the
-//     contract.
+//   * Tensor::Empty contents are UNINITIALIZED — a fresh buffer holds
+//     whatever bytes malloc left there. Every op must write each output
+//     element; use Zeros when zero-fill is part of the contract.
 //   * Define-by-run autograd: each op may attach a GradFn node holding its
 //     inputs and a backward closure; Tensor::Backward() runs a topological
 //     sweep and accumulates gradients into leaf tensors. Gradient buffers
@@ -51,7 +50,7 @@ struct GradFn {
 
 struct TensorImpl {
   std::vector<int64_t> shape;
-  std::shared_ptr<Storage> storage;  // pooled buffer (possibly shared by views)
+  std::shared_ptr<Storage> storage;  // buffer (possibly shared by views)
   int64_t offset = 0;                // float offset of element 0 into storage
   int64_t numel = 0;
   std::vector<float> grad;  // same size as numel once touched; empty otherwise
@@ -90,8 +89,8 @@ class Tensor {
 
   // ---- Creation -----------------------------------------------------------
 
-  /// Uninitialized tensor of the given shape (see file comment: contents
-  /// are stale pool bytes — every element must be written before reading).
+  /// Uninitialized tensor of the given shape (see file comment: every
+  /// element must be written before it is read).
   static Tensor Empty(std::vector<int64_t> shape);
   static Tensor Zeros(std::vector<int64_t> shape);
   static Tensor Ones(std::vector<int64_t> shape);

@@ -446,24 +446,24 @@ TEST_F(ChaosFixture, HotSwapUnderLoadServesZeroErrorsAndBumpsVersions) {
 // ---- Hot swap frees the retired replica ------------------------------------
 
 TEST_F(ChaosFixture, HotSwapFreesTheRetiredReplica) {
-  const int64_t before_create = storage::GetPoolStats().bytes_live;
+  const int64_t before_create = storage::GetStats().bytes_live;
   std::unique_ptr<OracleShard> shard = MakeShard(FastShardConfig("f0"));
   // What a replica that is never freed would leave behind: at least the
   // parameters its creation made live.
   const int64_t replica_bytes =
-      storage::GetPoolStats().bytes_live - before_create;
+      storage::GetStats().bytes_live - before_create;
   ASSERT_GT(replica_bytes, 0);
 
   std::vector<OdtInput> wave = Wave(0, 6);
   ExpectAllServed(shard->ServeWave(wave, {}), 6);
-  const int64_t one_replica = storage::GetPoolStats().bytes_live;
+  const int64_t one_replica = storage::GetStats().bytes_live;
 
   // The swap retires the old runtime, whose parameters and cached PiTs must
   // die with it. The canary pass and the second wave refill the new cache
   // with PiTs of the same buckets, so live bytes return to the same level.
   ASSERT_TRUE(shard->HotSwap().ok());
   ExpectAllServed(shard->ServeWave(wave, {}), 6);
-  EXPECT_EQ(storage::GetPoolStats().bytes_live, one_replica)
+  EXPECT_EQ(storage::GetStats().bytes_live, one_replica)
       << "a leaked replica reads at least " << replica_bytes
       << " bytes higher";
 }

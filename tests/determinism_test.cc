@@ -17,7 +17,6 @@
 #include "tensor/gemm_kernel.h"
 #include "tensor/nn.h"
 #include "tensor/ops.h"
-#include "tensor/storage.h"
 #include "util/thread_pool.h"
 
 namespace dot {
@@ -173,40 +172,6 @@ class KernelThreadSweep : public ::testing::TestWithParam<gemm::Kernel> {
     return out;
   }
 };
-
-// Reverse-diffusion sampling must be bitwise identical with the storage
-// pool on and off, for every kernel and across thread counts: recycling
-// changes only where buffers live, never what is computed (and the
-// AddReuse/ScaleReuse in-place paths must match their functional
-// counterparts exactly).
-TEST_P(KernelThreadSweep, SamplingBitwiseIdenticalPoolOnOff) {
-  auto run_sampling = [] {
-    UnetConfig cfg;
-    cfg.base_channels = 8;
-    cfg.levels = 2;
-    cfg.cond_dim = 16;
-    cfg.max_steps = 6;
-    Rng rng(21);
-    UnetDenoiser unet(cfg, &rng);
-    Diffusion diff{DiffusionSchedule(6)};
-    Rng sample_rng(22);
-    return diff.Sample(unet, Tensor::Zeros({2, 5}), {2, 3, 8, 8}, &sample_rng)
-        .ToVector();
-  };
-  const bool prev_pool = storage::PoolEnabled();
-  for (int threads : {1, 4}) {
-    ThreadPool::ResetGlobalForTesting(threads);
-    storage::SetPoolEnabled(true);
-    std::vector<float> pooled = run_sampling();
-    storage::SetPoolEnabled(false);
-    std::vector<float> unpooled = run_sampling();
-    storage::SetPoolEnabled(prev_pool);
-    ASSERT_EQ(pooled.size(), unpooled.size());
-    EXPECT_EQ(0, std::memcmp(pooled.data(), unpooled.data(),
-                             pooled.size() * sizeof(float)))
-        << "pool on/off sampling differs at " << threads << " threads";
-  }
-}
 
 TEST_P(KernelThreadSweep, BitwiseIdenticalAcrossThreadCounts) {
   const int hw = static_cast<int>(

@@ -1,8 +1,7 @@
-// Tests for the pooled storage engine and the zero-copy view layer built on
-// it: pool mechanics (bucketing, hit/miss accounting, poisoning), aliasing
-// semantics of Reshape/Flatten/Detach/Slice, in-place op guards, Backward()
-// diagnostics, and the steady-state allocation contract of the
-// reverse-diffusion sampling loop.
+// Tests for tensor storage and the zero-copy view layer built on it:
+// live-byte accounting, aliasing semantics of Reshape/Flatten/Detach/Slice,
+// in-place op guards, Backward() diagnostics, and the no-leak contract of
+// the reverse-diffusion sampling loop.
 
 #include <cmath>
 #include <vector>
@@ -20,95 +19,17 @@
 namespace dot {
 namespace {
 
-/// Restores the pool/poison knobs a test flips.
-class PoolKnobGuard {
- public:
-  PoolKnobGuard()
-      : pool_(storage::PoolEnabled()), poison_(storage::PoisonEnabled()) {}
-  ~PoolKnobGuard() {
-    storage::SetPoolEnabled(pool_);
-    storage::SetPoisonEnabled(poison_);
-  }
+// ---- Accounting -------------------------------------------------------------
 
- private:
-  bool pool_, poison_;
-};
-
-// ---- Pool mechanics ---------------------------------------------------------
-
-TEST(StoragePool, BucketForRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(storage::BucketFor(0), 64);
-  EXPECT_EQ(storage::BucketFor(1), 64);
-  EXPECT_EQ(storage::BucketFor(64), 64);
-  EXPECT_EQ(storage::BucketFor(65), 128);
-  EXPECT_EQ(storage::BucketFor(1000), 1024);
-  EXPECT_EQ(storage::BucketFor(1 << 20), 1 << 20);
-}
-
-TEST(StoragePool, RecycleHitsFreeList) {
-  PoolKnobGuard knobs;
-  storage::SetPoolEnabled(true);
-  storage::TrimPool();
-  storage::ResetPoolStats();
-  { Tensor t = Tensor::Zeros({100}); }  // miss: cold pool
-  storage::PoolStats s1 = storage::GetPoolStats();
-  EXPECT_EQ(s1.misses, 1);
-  EXPECT_EQ(s1.returns, 1);
-  { Tensor t = Tensor::Zeros({100}); }  // same bucket (128 floats): hit
-  storage::PoolStats s2 = storage::GetPoolStats();
-  EXPECT_EQ(s2.hits, 1);
-  EXPECT_EQ(s2.misses, 1);
-  EXPECT_EQ(s2.returns, 2);
-}
-
-TEST(StoragePool, LiveAndPooledByteAccounting) {
-  PoolKnobGuard knobs;
-  storage::SetPoolEnabled(true);
-  storage::TrimPool();
-  storage::ResetPoolStats();
-  int64_t live0 = storage::GetPoolStats().bytes_live;
-  int64_t pooled0 = storage::GetPoolStats().bytes_pooled;
-  int64_t bucket_bytes = storage::BucketFor(100) * sizeof(float);
+TEST(Storage, LiveByteAccounting) {
+  const int64_t live0 = storage::GetStats().bytes_live;
   {
     Tensor t = Tensor::Zeros({100});
-    storage::PoolStats s = storage::GetPoolStats();
-    EXPECT_EQ(s.bytes_live, live0 + bucket_bytes);
-    EXPECT_GE(s.high_water_bytes, live0 + bucket_bytes);
+    storage::Stats s = storage::GetStats();
+    EXPECT_EQ(s.bytes_live, live0 + 100 * static_cast<int64_t>(sizeof(float)));
+    EXPECT_GE(s.high_water_bytes, s.bytes_live);
   }
-  storage::PoolStats s = storage::GetPoolStats();
-  EXPECT_EQ(s.bytes_live, live0);
-  EXPECT_EQ(s.bytes_pooled, pooled0 + bucket_bytes);
-  storage::TrimPool();
-  EXPECT_EQ(storage::GetPoolStats().bytes_pooled, pooled0);
-}
-
-TEST(StoragePool, DisabledPoolFreesEagerly) {
-  PoolKnobGuard knobs;
-  storage::SetPoolEnabled(false);
-  storage::TrimPool();
-  storage::ResetPoolStats();
-  { Tensor t = Tensor::Zeros({100}); }
-  { Tensor t = Tensor::Zeros({100}); }
-  storage::PoolStats s = storage::GetPoolStats();
-  // No pool traffic at all: buffers come from and go back to the heap.
-  EXPECT_EQ(s.hits, 0);
-  EXPECT_EQ(s.misses, 0);
-  EXPECT_EQ(s.returns, 0);
-  EXPECT_EQ(s.bytes_pooled, 0);
-}
-
-TEST(StoragePool, PoisonOnReturnFillsWithNaN) {
-  PoolKnobGuard knobs;
-  storage::SetPoolEnabled(true);
-  storage::SetPoisonEnabled(true);
-  storage::TrimPool();
-  { Tensor t = Tensor::Full({8}, 3.0f); }
-  // The recycled buffer (LIFO) backs this allocation; Empty must expose the
-  // poison pattern, not the previous tensor's values.
-  Tensor t = Tensor::Empty({8});
-  for (int64_t i = 0; i < t.numel(); ++i) {
-    EXPECT_TRUE(std::isnan(t.at(i))) << "element " << i << " not poisoned";
-  }
+  EXPECT_EQ(storage::GetStats().bytes_live, live0);
 }
 
 // ---- Aliasing semantics -----------------------------------------------------
@@ -278,11 +199,9 @@ TEST(InPlaceOps, ReuseHelpersPickPathByGradMode) {
   EXPECT_TRUE(scaled.SharesStorageWith(c));
 }
 
-// ---- Gradchecks through the view layer under pooling ------------------------
+// ---- Gradchecks through the view layer --------------------------------------
 
 TEST(ViewGradcheck, ReshapeSliceConcat) {
-  PoolKnobGuard knobs;
-  storage::SetPoolEnabled(true);
   Rng rng(11);
   Tensor a = Tensor::Randn({2, 6}, &rng);
   testing::ExpectGradientsMatch({a}, [](const std::vector<Tensor>& in) {
@@ -309,11 +228,9 @@ TEST(ViewGradcheck, ViewMutationVisibleThroughAutogradInputs) {
   EXPECT_EQ(Sum(view).item(), 8.0f);
 }
 
-// ---- Steady-state allocation regression -------------------------------------
+// ---- Allocation regression --------------------------------------------------
 
-TEST(AllocationRegression, ReverseDiffusionIsAllocatorQuietAfterWarmup) {
-  PoolKnobGuard knobs;
-  storage::SetPoolEnabled(true);
+TEST(AllocationRegression, ReverseDiffusionLeaksNoTensorBytes) {
   UnetConfig cfg;
   cfg.base_channels = 8;
   cfg.levels = 2;
@@ -324,23 +241,14 @@ TEST(AllocationRegression, ReverseDiffusionIsAllocatorQuietAfterWarmup) {
   Diffusion diff{DiffusionSchedule(6)};
   Tensor cond = Tensor::Zeros({1, 5});
 
-  {
-    Rng warm_rng(6);
-    Tensor warm = diff.Sample(unet, cond, {1, 3, 8, 8}, &warm_rng);
-  }  // warmup pass populates every bucket's free list, then releases it all
-
-  storage::ResetPoolStats();
-  int64_t live0 = storage::GetPoolStats().bytes_live;
+  const int64_t live0 = storage::GetStats().bytes_live;
   for (int round = 0; round < 3; ++round) {
     Rng round_rng(7);
     Tensor x = diff.Sample(unet, cond, {1, 3, 8, 8}, &round_rng);
     EXPECT_EQ(x.numel(), 3 * 8 * 8);
   }
-  storage::PoolStats s = storage::GetPoolStats();
-  EXPECT_EQ(s.misses, 0) << "steady-state sampling touched the heap";
-  EXPECT_GT(s.hits, 0);
-  EXPECT_EQ(storage::GetPoolStats().bytes_live, live0)
-      << "net live bytes grew across steady-state sampling rounds";
+  EXPECT_EQ(storage::GetStats().bytes_live, live0)
+      << "net live bytes grew across sampling rounds";
 }
 
 }  // namespace
