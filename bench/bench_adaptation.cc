@@ -83,7 +83,7 @@ int main() {
   auto storm = std::make_shared<IncidentSchedule>(IncidentSchedule::Storm(
       *world->city, window_start, window_end, serve::kDemoCitySeed));
 
-  serve::AdaptConfig adapt_config = serve::AdaptConfig::FromEnv();
+  serve::AdaptConfig adapt_config;
   // The bench wants a decisive adaptation, not the server's cheap default:
   // more fresh trajectories and fine-tune epochs per round.
   adapt_config.fresh_trips = 320;

@@ -5,7 +5,7 @@
 //
 // Default mode is self-contained: trains the demo oracle, seals it to a
 // checkpoint, starts the sharded server in-process on a loopback port
-// (DOT_SERVE_SHARDS worker shards, default 2), then runs
+// (2 worker shards), then runs
 //   1. a closed-loop phase (N synchronous clients) to measure capacity,
 //   2. an open-loop Poisson sweep at 0.5x / 1x / 2x the measured capacity
 //      (open loop keeps sending at the target rate regardless of response
@@ -89,7 +89,7 @@ Percentiles ComputePercentiles(std::vector<double> v) {
   return p;
 }
 
-/// Per-request server-side breakdown samples (V2 responses; every bench
+/// Per-request server-side breakdown samples (every bench
 /// query sets kQueryFlagWantBreakdown).
 struct BreakdownVecs {
   std::vector<double> queue, batch_wait, stage1, stage2;
@@ -119,7 +119,7 @@ struct PhaseResult {
   int64_t errors = 0;          // any other non-OK response / transport error
   int64_t quality[4] = {0, 0, 0, 0};
   Percentiles latency_ms;
-  // Server-side per-request segments (microseconds), from V2 responses.
+  // Server-side per-request segments (microseconds), from the responses.
   Percentiles bd_queue_us, bd_batch_wait_us, bd_stage1_us, bd_stage2_us;
   // Batcher deltas over the phase.
   int64_t waves = 0;
@@ -541,14 +541,8 @@ int RunLoadBench() {
     if (!loaded.ok()) return loaded;
     return oracle;
   };
-  long num_shards = 2;
-  if (const char* v = std::getenv("DOT_SERVE_SHARDS")) {
-    char* end = nullptr;
-    long parsed = std::strtol(v, &end, 10);
-    if (end && *end == '\0' && parsed > 0) num_shards = parsed;
-  }
   std::vector<std::unique_ptr<OracleShard>> shards;
-  for (long s = 0; s < num_shards; ++s) {
+  for (long s = 0; s < 2; ++s) {
     ShardConfig shard_config;
     shard_config.shard_id = std::to_string(s);
     // Large enough that the canary ring covers the swap phase's hot
@@ -566,7 +560,7 @@ int RunLoadBench() {
   }
   ShardRouter router(std::move(shards));
 
-  ServerConfig config = ServerConfig::FromEnv();
+  ServerConfig config;
   // A deliberately small queue budget so the 2x-capacity point sheds load
   // instead of building a seconds-deep queue.
   config.batcher.queue_budget_ms = 2 * kDeadlineMs;

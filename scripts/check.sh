@@ -94,24 +94,32 @@ lint_metrics() {
   done
 }
 
-# start_server LABEL ADMIN [VAR=value...]: boots the ASan+UBSan dot_server
-# with those environment variables in a fresh SRV_DIR (plus the admin plane
-# on an ephemeral port when ADMIN is 1) and waits for its port files. Sets
-# SRV_PID, SRV_LOG, PORT and APORT; fails LABEL and returns 1 when the
+# start_server LABEL ADMIN [ARG...]: boots the ASan+UBSan dot_server in a
+# fresh SRV_DIR (plus the admin plane on an ephemeral port when ADMIN is 1)
+# and waits for its port files. Each VAR=value ARG goes into the server's
+# environment, every other ARG onto its command line (dot_server flags).
+# Sets SRV_PID, SRV_LOG, PORT and APORT; fails LABEL and returns 1 when the
 # server does not come up.
 start_server() {
-  local label=$1 admin=$2 f up
+  local label=$1 admin=$2 f up arg
   shift 2
   SRV_DIR=$(mktemp -d "$SCRATCH/server.XXXX")
   SRV_LOG="$SRV_DIR/server.log"
-  local admin_args=() port_files=("$SRV_DIR/port")
+  local env_args=() flags=() admin_args=() port_files=("$SRV_DIR/port")
+  for arg in "$@"; do
+    if [[ $arg =~ ^[A-Z_][A-Z0-9_]*= ]]; then
+      env_args+=("$arg")
+    else
+      flags+=("$arg")
+    fi
+  done
   if [ "$admin" = 1 ]; then
     admin_args=(--admin-port 0 --admin-port-file "$SRV_DIR/admin_port")
     port_files+=("$SRV_DIR/admin_port")
   fi
-  env "$@" "$BUILD_ASAN"/src/serve/dot_server --port-file "$SRV_DIR/port" \
-    "${admin_args[@]}" --checkpoint "$SRV_DIR/oracle.bin" \
-    > "$SRV_LOG" 2>&1 &
+  env "${env_args[@]}" "$BUILD_ASAN"/src/serve/dot_server \
+    --port-file "$SRV_DIR/port" "${admin_args[@]}" "${flags[@]}" \
+    --checkpoint "$SRV_DIR/oracle.bin" > "$SRV_LOG" 2>&1 &
   SRV_PID=$!
   for _ in $(seq 1 600); do
     up=1
@@ -240,7 +248,7 @@ echo "== observability plane: live admin endpoint smoke =="
 # Boots dot_server with the admin plane on an ephemeral port and walks every
 # endpoint over real HTTP, then checks the SIGUSR1 stats dump and that
 # /readyz flips to draining during the SIGTERM lame-duck window.
-if start_server admin 1 DOT_SERVE_LAME_DUCK_MS=3000; then
+if start_server admin 1 --lame-duck-ms 3000; then
   # Send a little traffic so the metrics/windows are non-trivial.
   smoke_client "admin smoke traffic" 10
   ADMIN="http://127.0.0.1:$APORT"
@@ -279,7 +287,7 @@ echo "== sharded oracle: loopback shard-kill smoke =="
 # then the exhausted failpoint lets a probe succeed and the shard must
 # come back — all observed live through /shardz while the smoke client
 # keeps querying (no request may be lost: DRAINED must report lost=0).
-if start_server sharded 1 DOT_SERVE_SHARDS=3 DOT_SERVE_PROBE_BACKOFF_MS=200 \
+if start_server sharded 1 --shards 3 \
     DOT_FAILPOINTS="serve.shard_dispatch.1=error:5"; then
   ADMIN="http://127.0.0.1:$APORT"
   grep -q '^SHARDS 3$' "$SRV_LOG" || fail "dot_server did not report 3 shards"
@@ -345,7 +353,7 @@ echo "== continual adaptation: live /adaptz fine-tune + SIGHUP swap smoke =="
 # Boots dot_server, runs one continual fine-tune round over the admin
 # plane (fresh incident trajectories, replay mix, canary gate, hot-swap
 # publish), then SIGHUPs for one more swap and requires a lossless drain.
-if start_server adapt 1 DOT_SERVE_SHARDS=2; then
+if start_server adapt 1 --shards 2; then
   ADMIN="http://127.0.0.1:$APORT"
   # Traffic before the round so the swap happens under a warmed fleet.
   smoke_client "adapt smoke traffic" 10

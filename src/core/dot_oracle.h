@@ -112,11 +112,14 @@ struct FineTuneConfig {
 
 /// \brief An oracle answer: the travel time and the inferred PiT
 /// (the explainability output, Sec. 6.6), tagged with the ladder level
-/// that produced it.
+/// that produced it. In a served wave, `status` is the member's own
+/// outcome: a query that failed validation carries its InvalidArgument
+/// here, and its other fields are meaningless.
 struct DotEstimate {
   double minutes = 0;
   Pit pit{1};
   ServedQuality quality = ServedQuality::kFull;
+  Status status = Status::OK();
 };
 
 /// \brief Stage-1 output of DotOracle::TryInferPits.

@@ -173,17 +173,13 @@ void OracleService::InferWithRetry(const std::vector<OdtInput>& odts,
 bool OracleService::LookupNeighborLocked(int64_t bucket, Pit* pit) {
   int64_t slot = bucket % config_.tod_slots;
   int64_t od = bucket / config_.tod_slots;
-  for (int64_t r = 1; r <= config_.neighbor_slot_radius; ++r) {
-    for (int64_t sign : {-1, +1}) {
-      int64_t s =
-          ((slot + sign * r) % config_.tod_slots + config_.tod_slots) %
-          config_.tod_slots;
-      auto it = cache_.find(od * config_.tod_slots + s);
-      if (it != cache_.end()) {
-        Touch(it);
-        *pit = it->second.pit;
-        return true;
-      }
+  for (int64_t step : {-1, +1}) {
+    int64_t s = (slot + step + config_.tod_slots) % config_.tod_slots;
+    auto it = cache_.find(od * config_.tod_slots + s);
+    if (it != cache_.end()) {
+      Touch(it);
+      *pit = it->second.pit;
+      return true;
     }
   }
   return false;
@@ -197,6 +193,10 @@ OracleService::MissServe OracleService::ServeMisses(
   out.pits.assign(m, Pit{1});
   out.quality.assign(m, ServedQuality::kFallback);
   out.failed.assign(m, 0);
+
+  // The kReducedSteps level samples a third of the configured steps.
+  int64_t full_steps = std::max<int64_t>(1, oracle_->config().sample_steps);
+  int64_t reduced_steps = std::max<int64_t>(1, full_steps / 3);
 
   // Deadline triage: predict the full pass's cost from the p95 of the
   // observed stage-1 latencies and pick the highest ladder level whose
@@ -221,12 +221,11 @@ OracleService::MissServe OracleService::ServeMisses(
     double remaining_us =
         opts.deadline_ms * 1e3 - sw.ElapsedSeconds() * 1e6;
     if (have_cost && p95 > remaining_us) {
-      double frac = static_cast<double>(config_.degraded_sample_steps) /
-                    static_cast<double>(
-                        std::max<int64_t>(1, oracle_->config().sample_steps));
+      double frac = static_cast<double>(reduced_steps) /
+                    static_cast<double>(full_steps);
       if (p95 * frac <= remaining_us) {
         target = ServedQuality::kReducedSteps;
-        steps = config_.degraded_sample_steps;
+        steps = reduced_steps;
       } else {
         skip_stage1 = true;  // even a reduced pass is predicted to run late
       }
@@ -240,8 +239,8 @@ OracleService::MissServe OracleService::ServeMisses(
   if (!todo.empty() && target == ServedQuality::kFull) {
     // Stage 1 failed these misses at full quality: one more round at
     // reduced steps before abandoning inference for them.
-    InferWithRetry(miss_odts, config_.degraded_sample_steps,
-                   ServedQuality::kReducedSteps, opts, sw, &todo, &out);
+    InferWithRetry(miss_odts, reduced_steps, ServedQuality::kReducedSteps,
+                   opts, sw, &todo, &out);
   }
   for (size_t i : todo) out.failed[i] = 1;  // attempted and exhausted
   return out;
@@ -271,6 +270,7 @@ void OracleService::RecordQuality(ServedQuality q) {
 Result<DotEstimate> OracleService::Query(const OdtInput& odt,
                                          const QueryOptions& opts) {
   DOT_ASSIGN_OR_RETURN(auto out, QueryBatch({odt}, opts));
+  if (!out[0].status.ok()) return out[0].status;
   return std::move(out[0]);
 }
 
@@ -308,43 +308,45 @@ Status OracleService::RunWaves(const std::vector<ServiceWave*>& waves,
   for (ServiceWave* w : waves) {
     DOT_CHECK(w->positions.size() == w->odts.size())
         << "positions must parallel odts";
-    for (size_t i = 0; i < w->odts.size(); ++i) {
-      Status s = w->service->ValidateQuery(w->odts[i]);
-      if (!s.ok()) {
-        return Status::InvalidArgument("batch query " + std::to_string(i) +
-                                       ": " + s.message());
-      }
-    }
     if (!w->service->oracle_->trained()) {
       return Status::FailedPrecondition("oracle not trained");
     }
   }
-  if (waves.empty()) return Status::OK();
+
+  // The group's valid queries in wave order: member m is query
+  // order[m].second of slice order[m].first, and member[w] lists slice
+  // w's members. An invalid query gets its own status and nothing else.
+  std::vector<std::pair<size_t, size_t>> order;
+  for (size_t w = 0; w < waves.size(); ++w) {
+    waves[w]->estimates.assign(waves[w]->odts.size(), DotEstimate{});
+    waves[w]->cache_hits = 0;
+    waves[w]->stage1_failed = false;
+    for (size_t k = 0; k < waves[w]->odts.size(); ++k) {
+      Status s = waves[w]->service->ValidateQuery(waves[w]->odts[k]);
+      if (s.ok()) {
+        order.emplace_back(w, k);
+      } else {
+        waves[w]->estimates[k].status = std::move(s);
+      }
+    }
+  }
+  if (order.empty()) return Status::OK();
   OracleService* lead = waves[0]->service;
   obs::TraceSpan span(sample_misses ? "OracleService::QueryBatch"
                                     : "OracleService::QueryDegraded");
   Stopwatch sw;
 
-  // The group's queries in wave order: member m is query order[m].second
-  // of slice order[m].first, and slice w's query k is member member[w][k].
-  std::vector<std::pair<size_t, size_t>> order;
-  for (size_t w = 0; w < waves.size(); ++w) {
-    for (size_t k = 0; k < waves[w]->odts.size(); ++k) order.emplace_back(w, k);
-  }
   std::sort(order.begin(), order.end(), [&](const auto& a, const auto& b) {
     return waves[a.first]->positions[a.second] <
            waves[b.first]->positions[b.second];
   });
   size_t n = order.size();
   std::vector<std::vector<size_t>> member(waves.size());
-  for (size_t w = 0; w < waves.size(); ++w) {
-    member[w].resize(waves[w]->odts.size());
-  }
   std::vector<const OdtInput*> odt(n);
   std::vector<int64_t> buckets(n);
   for (size_t m = 0; m < n; ++m) {
     auto [w, k] = order[m];
-    member[w][k] = m;
+    member[w].push_back(m);
     odt[m] = &waves[w]->odts[k];
     buckets[m] = waves[w]->service->BucketOf(*odt[m]);
   }
@@ -353,6 +355,7 @@ Status OracleService::RunWaves(const std::vector<ServiceWave*>& waves,
   std::vector<Pit> pits(n, Pit{1});
   std::vector<char> hit(n, 0);
   for (size_t w = 0; w < waves.size(); ++w) {
+    if (member[w].empty()) continue;
     OracleService* svc = waves[w]->service;
     int64_t len = static_cast<int64_t>(member[w].size());
     svc->metrics_.queries->Increment(len);
@@ -374,7 +377,6 @@ Status OracleService::RunWaves(const std::vector<ServiceWave*>& waves,
     }
     svc->metrics_.cache_hits->Increment(hits);
     waves[w]->cache_hits = hits;
-    waves[w]->stage1_failed = false;
   }
 
   // Deduplicate the misses by bucket across the group, in wave order. A
@@ -472,16 +474,15 @@ Status OracleService::RunWaves(const std::vector<ServiceWave*>& waves,
     for (size_t j = 0; j < with_pit.size(); ++j) minutes[with_pit[j]] = est[j];
   }
   for (size_t w = 0; w < waves.size(); ++w) {
+    if (member[w].empty()) continue;
     OracleService* svc = waves[w]->service;
-    std::vector<DotEstimate>& out = waves[w]->estimates;
-    out.clear();
-    out.reserve(member[w].size());
     for (size_t m : member[w]) {
       svc->RecordQuality(quality[m]);
       double est = quality[m] == ServedQuality::kFallback
                        ? svc->FallbackMinutes(*odt[m])
                        : minutes[m];
-      out.push_back(DotEstimate{est, std::move(pits[m]), quality[m]});
+      waves[w]->estimates[order[m].second] =
+          DotEstimate{est, std::move(pits[m]), quality[m]};
     }
     if (opts.stage1_failed != nullptr && waves[w]->stage1_failed) {
       *opts.stage1_failed = true;

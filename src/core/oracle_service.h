@@ -50,9 +50,6 @@ struct OracleServiceConfig {
   /// an insert would exceed this.
   int64_t max_entries = 200000;
 
-  /// DDIM steps of the kReducedSteps ladder level (must be < the oracle's
-  /// configured sample_steps to actually save time).
-  int64_t degraded_sample_steps = 4;
   /// Bounded retry for transient (Internal) stage-1 failures: total
   /// attempts per ladder level are 1 + max_retries.
   int64_t max_retries = 2;
@@ -61,9 +58,6 @@ struct OracleServiceConfig {
   /// instead of re-storming the oracle in lockstep; retries that cannot fit
   /// their backoff inside the deadline are skipped.
   int64_t retry_backoff_ms = 1;
-  /// kCachedNeighbor searches this many time-of-day slots on each side of
-  /// the missing bucket for a cached PiT of the same OD pair.
-  int64_t neighbor_slot_radius = 1;
   /// Estimate of last resort (kFallback). When unset, the oracle's stage-2
   /// training-mean travel time is served.
   std::function<double(const OdtInput&)> fallback_estimator;
@@ -128,7 +122,9 @@ struct ServiceWave {
   std::vector<size_t> positions;
 
   // Outputs of QueryWaves.
-  std::vector<DotEstimate> estimates;  ///< one per query, in `odts` order
+  /// One per query, in `odts` order; an invalid query's entry carries its
+  /// validation error in DotEstimate::status.
+  std::vector<DotEstimate> estimates;
   /// Stage 1 failed for a sample one of this slice's queries needed (see
   /// QueryOptions::stage1_failed); other slices' failures do not count.
   bool stage1_failed = false;
@@ -137,8 +133,8 @@ struct ServiceWave {
 
 /// The query checks that need no grid: finite coordinates and a
 /// non-negative departure time. InvalidArgument names the failed check.
-/// OracleService validates with it before its service-area check, and the
-/// serving batcher rejects a query failing it at admission.
+/// OracleService validates each query with it before its service-area
+/// check, and the serving batcher rejects a query failing it at admission.
 Status CheckQueryFields(const OdtInput& odt);
 
 /// \brief Bucketed LRU-cache front end for a trained DotOracle.
@@ -150,17 +146,19 @@ class OracleService {
   /// Answers a query, reusing the bucket's cached PiT when available. A
   /// miss that busts the deadline or exhausts stage-1 retries is answered
   /// at a degraded ladder level (see DotEstimate::quality) rather than
-  /// failing; only invalid input or an untrained oracle return an error.
-  /// The one-query case of QueryBatch: a wave of one.
+  /// failing; only invalid input (its validation error) or an untrained
+  /// oracle return an error. The one-query case of QueryBatch: a wave of
+  /// one.
   Result<DotEstimate> Query(const OdtInput& odt, const QueryOptions& opts = {});
 
   /// Answers a wave of queries: cache hits are served from their buckets,
   /// the remaining buckets are deduplicated and filled by one batched
   /// stage-1 sampling pass, and stage 2 runs once over the whole wave.
   /// Returns one estimate per input, in input order. Stage-1 failures
-  /// degrade per the ladder and never fail the wave; any invalid input
-  /// rejects the whole wave with InvalidArgument (naming the index). The
-  /// one-slice case of QueryWaves.
+  /// degrade per the ladder and never fail the wave; an invalid input gets
+  /// its own InvalidArgument in DotEstimate::status and the rest of the
+  /// wave is served as if it were absent. The one-slice case of
+  /// QueryWaves.
   Result<std::vector<DotEstimate>> QueryBatch(const std::vector<OdtInput>& odts,
                                               const QueryOptions& opts = {});
 
@@ -174,9 +172,12 @@ class OracleService {
   /// serves its own ladder tail. The replicas must have equal
   /// DotOracle::ModelDigest(): both passes run on the first slice's
   /// replica, under its oracle lock. `opts.timing` receives the pass
-  /// times, `opts.stage1_failed` the OR over slices. An invalid query
-  /// fails the call with InvalidArgument (naming its index in its slice)
-  /// before anything is served. Every other entry point runs this body.
+  /// times, `opts.stage1_failed` the OR over slices. Each query is
+  /// validated on its own: an invalid one gets ValidateQuery's status in
+  /// its DotEstimate and takes no part in the wave — no cache lookup or
+  /// entry, no pass, no counter. The returned Status is for whole-wave
+  /// failures (an untrained oracle). Every other entry point runs this
+  /// body.
   static Status QueryWaves(const std::vector<ServiceWave*>& waves,
                            const QueryOptions& opts = {});
 
@@ -245,12 +246,14 @@ class OracleService {
                       ServedQuality level, const QueryOptions& opts,
                       const Stopwatch& sw, std::vector<size_t>* todo,
                       MissServe* out);
-  /// kCachedNeighbor lookup: a cached PiT of the same OD pair within
-  /// neighbor_slot_radius time-of-day slots. Caller holds mu_.
+  /// kCachedNeighbor lookup: a cached PiT of the same OD pair in an
+  /// adjacent time-of-day slot. Caller holds mu_.
   bool LookupNeighborLocked(int64_t bucket, Pit* pit);
   /// Runs stage 1's part of the degradation ladder over a set of cache
   /// misses: deadline triage, the full pass, then a reduced-steps round for
-  /// the misses it failed. Without `sample` it skips stage 1 for all.
+  /// the misses it failed. The reduced round samples a third of the
+  /// oracle's sample_steps (at least 1). Without `sample` it skips stage 1
+  /// for all.
   MissServe ServeMisses(const std::vector<OdtInput>& miss_odts,
                         const QueryOptions& opts, const Stopwatch& sw,
                         bool sample);

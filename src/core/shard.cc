@@ -141,27 +141,30 @@ void OracleShard::OnDispatchSuccess() {
 
 void OracleShard::RecordWaveMetrics(const std::vector<DotEstimate>& estimates,
                                     int64_t cache_hits) {
+  int64_t served = 0;
   for (const auto& e : estimates) {
+    if (!e.status.ok()) continue;  // invalid input: never served
+    ++served;
     int q = static_cast<int>(e.quality);
     if (q >= 0 && q < 4) metrics_.quality[q]->Increment();
   }
+  metrics_.queries->Increment(served);
   metrics_.cache_hits->Increment(cache_hits);
+  std::lock_guard<std::mutex> lock(state_mu_);
+  stats_.queries += served;
 }
 
 Status OracleShard::BeginWave(ServiceWave* wave, Pending* p) {
   p->lock = std::unique_lock<std::mutex>(serve_mu_);
   p->rt = CurrentRuntime();
   wave->service = p->rt->service.get();
-  const std::vector<OdtInput>& odts = wave->odts;
   metrics_.waves->Increment();
-  metrics_.queries->Increment(static_cast<int64_t>(odts.size()));
 
   bool probe = false;
   bool ladder_only = false;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     ++stats_.waves;
-    stats_.queries += static_cast<int64_t>(odts.size());
     if (health_ == ShardHealth::kQuarantined) {
       if (NowMs() >= next_probe_ms_) {
         probe = true;  // this wave doubles as the recovery probe
@@ -195,27 +198,40 @@ Status OracleShard::BeginWave(ServiceWave* wave, Pending* p) {
   }
   // A failed dispatch, or quarantined with no probe due: bounded failover
   // through the ladder, never touching the (suspect) stage-1 model.
-  Result<std::vector<DotEstimate>> r = p->rt->service->QueryDegraded(odts);
+  Result<std::vector<DotEstimate>> r =
+      p->rt->service->QueryDegraded(wave->odts);
   if (!r.ok()) return r.status();
   wave->estimates = std::move(*r);
   int64_t hits = std::count_if(
       wave->estimates.begin(), wave->estimates.end(),
-      [](const DotEstimate& e) { return e.quality == ServedQuality::kFull; });
+      [](const DotEstimate& e) {
+        return e.status.ok() && e.quality == ServedQuality::kFull;
+      });
   RecordWaveMetrics(wave->estimates, hits);
   return Status::OK();
 }
 
 void OracleShard::FinishWave(const ServiceWave& wave, double wave_us) {
+  RecordWaveMetrics(wave.estimates, wave.cache_hits);
+  // A share holding only invalid queries reached no model, so it says
+  // nothing about the shard's health: a due probe stays due.
+  if (std::none_of(wave.estimates.begin(), wave.estimates.end(),
+                   [](const DotEstimate& e) { return e.status.ok(); })) {
+    return;
+  }
   window_.Observe(wave_us);
   if (wave.stage1_failed) {
     OnDispatchFailure();
   } else {
     OnDispatchSuccess();
     // Ring of the most recently served ODs: a swap's canary warm should
-    // cover the *current* hot set, not whatever was hot at startup.
+    // cover the *current* hot set, not whatever was hot at startup. An
+    // invalid query was never served, so it cannot warm a shadow model.
     std::lock_guard<std::mutex> lock(state_mu_);
-    for (const auto& odt : wave.odts) {
+    for (size_t i = 0; i < wave.odts.size(); ++i) {
       if (config_.canary_capacity <= 0) break;
+      if (!wave.estimates[i].status.ok()) continue;
+      const OdtInput& odt = wave.odts[i];
       if (static_cast<int64_t>(canary_.size()) < config_.canary_capacity) {
         canary_.push_back(odt);
       } else {
@@ -224,7 +240,6 @@ void OracleShard::FinishWave(const ServiceWave& wave, double wave_us) {
       ++canary_next_;
     }
   }
-  RecordWaveMetrics(wave.estimates, wave.cache_hits);
 }
 
 Status OracleShard::ServeWaves(std::vector<ShardWave>* waves,

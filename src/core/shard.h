@@ -155,9 +155,10 @@ class OracleShard {
   /// by model digest, and each group is one OracleService::QueryWaves
   /// whose passes run on the group's first replica. Never loses a request:
   /// failures and quarantine serve degraded-tagged answers through the
-  /// ladder. Only invalid input / an untrained model error, failing the
-  /// whole wave. `opts.timing` receives the summed pass times,
-  /// `opts.stage1_failed` the OR over shards.
+  /// ladder. An invalid query gets its own error in its estimate's status
+  /// and counts nowhere; only an untrained model fails the whole wave.
+  /// `opts.timing` receives the summed pass times, `opts.stage1_failed`
+  /// the OR over shards.
   static Status ServeWaves(std::vector<ShardWave>* waves,
                            const QueryOptions& opts);
 
@@ -215,8 +216,9 @@ class OracleShard {
   /// failpoints. A ladder-only or failed share is answered here through
   /// QueryDegraded; otherwise `p->dispatched` is set.
   Status BeginWave(ServiceWave* wave, Pending* p);
-  /// The phase after a dispatched share was served: the p95 window, the
-  /// health bookkeeping, the canary ring and the wave metrics.
+  /// The phase after a dispatched share was served: the wave metrics,
+  /// then (unless every query of the share was invalid) the p95 window,
+  /// the health bookkeeping and the canary ring.
   void FinishWave(const ServiceWave& wave, double wave_us);
 
   /// Health bookkeeping after a full-path wave. Caller holds serve_mu_.
@@ -224,7 +226,8 @@ class OracleShard {
   void OnDispatchSuccess();
   void SetHealthLocked(ShardHealth h);  // caller holds state_mu_
 
-  /// Tallies quality labels and the wave's cache hits.
+  /// Tallies the served (valid) queries, their quality labels and the
+  /// wave's cache hits.
   void RecordWaveMetrics(const std::vector<DotEstimate>& estimates,
                          int64_t cache_hits);
 

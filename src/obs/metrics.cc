@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -15,11 +14,6 @@ namespace dot {
 namespace obs {
 
 namespace {
-
-std::atomic<bool> g_metrics_enabled{[] {
-  const char* env = std::getenv("DOT_METRICS");
-  return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-}()};
 
 std::string SanitizeName(const std::string& name) {
   std::string out = name.empty() ? std::string("_") : name;
@@ -93,13 +87,6 @@ std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
-}
-
-bool MetricsEnabled() {
-  return g_metrics_enabled.load(std::memory_order_relaxed);
-}
-void SetMetricsEnabled(bool enabled) {
-  g_metrics_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 uint32_t Counter::ShardIndex() {

@@ -29,13 +29,6 @@
 namespace dot {
 namespace obs {
 
-/// True unless metrics were disabled (DOT_METRICS=0 or SetMetricsEnabled).
-/// Recording into an existing metric is always safe; this gate exists for
-/// instrumentation that must *compute* something before recording it
-/// (e.g. a gradient norm), which should be skipped entirely when disabled.
-bool MetricsEnabled();
-void SetMetricsEnabled(bool enabled);
-
 /// \brief Monotonic counter, sharded to keep concurrent increments from
 /// bouncing one cache line between cores.
 class Counter {

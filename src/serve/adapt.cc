@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "eval/metrics.h"
 #include "geo/trajectory.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -16,35 +15,6 @@ namespace serve {
 
 namespace {
 
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  return (end && *end == '\0') ? parsed : fallback;
-}
-
-long EnvLong(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(v, &end, 10);
-  return (end && *end == '\0') ? parsed : fallback;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::string Num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f", v);
@@ -52,22 +22,6 @@ std::string Num(double v) {
 }
 
 }  // namespace
-
-AdaptConfig AdaptConfig::FromEnv() {
-  AdaptConfig c;
-  c.finetune.stage1_epochs =
-      EnvLong("DOT_ADAPT_STAGE1_EPOCHS", c.finetune.stage1_epochs);
-  c.finetune.stage2_epochs =
-      EnvLong("DOT_ADAPT_STAGE2_EPOCHS", c.finetune.stage2_epochs);
-  c.finetune.lr_scale = EnvDouble("DOT_ADAPT_LR_SCALE", c.finetune.lr_scale);
-  c.finetune.replay_fraction =
-      EnvDouble("DOT_ADAPT_REPLAY_FRACTION", c.finetune.replay_fraction);
-  c.finetune.max_samples =
-      EnvLong("DOT_ADAPT_MAX_SAMPLES", c.finetune.max_samples);
-  c.fresh_trips = EnvLong("DOT_ADAPT_FRESH_TRIPS", c.fresh_trips);
-  c.holdout_trips = EnvLong("DOT_ADAPT_HOLDOUT_TRIPS", c.holdout_trips);
-  return c;
-}
 
 std::string AdaptRound::ToJson() const {
   std::string json = "{";
@@ -78,7 +32,7 @@ std::string AdaptRound::ToJson() const {
   json += ", \"mae_after\": " + Num(mae_after);
   json += std::string(", \"improved\": ") + (improved ? "true" : "false");
   json += std::string(", \"published\": ") + (published ? "true" : "false");
-  json += ", \"error\": \"" + JsonEscape(error) + "\"";
+  json += ", \"error\": \"" + obs::JsonEscape(error) + "\"";
   json += "}";
   return json;
 }

@@ -8,16 +8,8 @@
 // zero-downtime hot swap (ShardRouter::SwapAll).
 //
 // Exposed on the admin plane as /adaptz: GET returns the round history as
-// JSON, POST runs one adaptation round synchronously.
-//
-// Env knobs (AdaptConfig::FromEnv):
-//   DOT_ADAPT_STAGE1_EPOCHS    fine-tune epochs for the diffusion stage
-//   DOT_ADAPT_STAGE2_EPOCHS    fine-tune epochs for the estimator stage
-//   DOT_ADAPT_LR_SCALE         LR multiplier vs the base training LR
-//   DOT_ADAPT_REPLAY_FRACTION  replayed clear-day samples per fresh sample
-//   DOT_ADAPT_MAX_SAMPLES      cap on the mixed fine-tune set
-//   DOT_ADAPT_FRESH_TRIPS      incident-window trajectories simulated/round
-//   DOT_ADAPT_HOLDOUT_TRIPS    held-out incident trips for the MAE gate
+// JSON, POST runs one adaptation round synchronously. AdaptConfig sizes a
+// round; dot_server serves its defaults.
 
 #ifndef DOT_SERVE_ADAPT_H_
 #define DOT_SERVE_ADAPT_H_
@@ -45,8 +37,6 @@ struct AdaptConfig {
   /// Base seed of the per-round trip simulation (round index is mixed in
   /// so successive rounds see fresh trajectories).
   uint64_t seed = 99;
-
-  static AdaptConfig FromEnv();
 };
 
 /// \brief Outcome of one adaptation round (one JSON object in /adaptz).

@@ -29,6 +29,8 @@ constexpr size_t kMaxRequestBytes = 4096;
 // Per-connection socket read timeout: a peer that connects and stalls
 // cannot wedge the (single) admin thread for longer than this.
 constexpr int kConnTimeoutMs = 2000;
+// Hard cap on a /tracez capture's length.
+constexpr double kMaxTraceSec = 10.0;
 
 std::string HttpResponse(int code, const char* reason,
                          const std::string& content_type,
@@ -51,17 +53,6 @@ std::string JsonResponse(const std::string& body) {
 }
 
 }  // namespace
-
-AdminConfig AdminConfig::FromEnv() {
-  AdminConfig config;
-  const char* v = std::getenv("DOT_SERVE_ADMIN_PORT");
-  if (v && *v) {
-    char* end = nullptr;
-    long parsed = std::strtol(v, &end, 10);
-    if (end && *end == '\0') config.port = static_cast<int>(parsed);
-  }
-  return config;
-}
 
 AdminServer::AdminServer(AdminConfig config, AdminHooks hooks)
     : config_(std::move(config)), hooks_(std::move(hooks)) {}
@@ -277,7 +268,7 @@ std::string AdminServer::Respond(const std::string& method,
         return TextResponse(400, "Bad Request", "bad sec value\n");
       }
     }
-    if (sec > config_.max_trace_sec) sec = config_.max_trace_sec;
+    if (sec > kMaxTraceSec) sec = kMaxTraceSec;
     if (obs::TracingEnabled()) {
       // A DOT_TRACE recording (or a concurrent /tracez) owns the buffer;
       // stealing it would truncate that capture.

@@ -19,11 +19,12 @@
 //   POST /adaptz  runs one adaptation round synchronously (fine-tune on
 //                 the incident window, re-seal, hot-swap on improvement)
 //                 and returns the round's JSON record
-//   GET /tracez?sec=N  records a bounded N-second trace and returns it as
-//                 chrome://tracing JSON (409 if a recording is active)
+//   GET /tracez?sec=N  records a bounded N-second trace (N capped at 10)
+//                 and returns it as chrome://tracing JSON (409 if a
+//                 recording is active)
 //
-// The port comes from DOT_SERVE_ADMIN_PORT (or AdminConfig); port 0 binds
-// an ephemeral port, readable from AdminServer::port() after Start().
+// The port comes from AdminConfig (dot_server's --admin-port); port 0
+// binds an ephemeral port, readable from AdminServer::port() after Start().
 
 #ifndef DOT_SERVE_ADMIN_H_
 #define DOT_SERVE_ADMIN_H_
@@ -43,11 +44,6 @@ namespace serve {
 struct AdminConfig {
   std::string host = "127.0.0.1";
   int port = 0;  ///< 0 = ephemeral
-  /// Hard cap on /tracez capture length.
-  double max_trace_sec = 10.0;
-
-  /// Reads DOT_SERVE_ADMIN_PORT over the default.
-  static AdminConfig FromEnv();
 };
 
 /// \brief Callbacks the admin plane renders live state through. All must

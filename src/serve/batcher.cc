@@ -66,8 +66,7 @@ Status DynamicBatcher::Submit(const OdtInput& odt, double deadline_ms,
 
 Status DynamicBatcher::Submit(const OdtInput& odt, double deadline_ms,
                               RequestContext ctx, TimedResponseCallback done) {
-  // A malformed query would fail its whole wave in the backend; refuse it
-  // alone, before it is queued.
+  // Refuse malformed outside input before it takes a queue slot.
   DOT_RETURN_NOT_OK(CheckQueryFields(odt));
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) {
@@ -204,10 +203,14 @@ int64_t DynamicBatcher::FlushWaveLocked(std::unique_lock<std::mutex>* lock,
       std::max(0.0, wave_us - stage_timing.stage1_us - stage_timing.stage2_us);
   for (size_t i = 0; i < callbacks.size(); ++i) {
     timing.queue_us = queue_us[i];
-    if (result.ok()) {
-      callbacks[i](Result<DotEstimate>((*result)[i]), timing);
-    } else {
+    // A member's own error (invalid input) is its answer; a whole-wave
+    // error answers every member.
+    if (!result.ok()) {
       callbacks[i](Result<DotEstimate>(result.status()), timing);
+    } else if (!(*result)[i].status.ok()) {
+      callbacks[i](Result<DotEstimate>((*result)[i].status), timing);
+    } else {
+      callbacks[i](Result<DotEstimate>((*result)[i]), timing);
     }
   }
 

@@ -24,8 +24,10 @@
 // the most urgent request can afford.
 //
 // A query that fails CheckQueryFields (non-finite coordinates, negative
-// departure time) is rejected at Submit with InvalidArgument, so it never
-// shares — and fails — a wave with valid queries.
+// departure time) is rejected at Submit with InvalidArgument, before it is
+// queued. A query that fails only the backend's own validation (outside
+// the service area) gets its error from its DotEstimate::status; the rest
+// of its wave is answered as usual.
 //
 // Admission control is the backpressure mechanism: a Submit against a full
 // queue, or while a full wave (`max_batch` requests) is queued and its head

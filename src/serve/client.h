@@ -39,10 +39,10 @@ class Client {
   /// kernel accepted the bytes.
   Status Send(const Message& msg);
 
-  /// Sends a query request built from an OdtInput. A nonzero `flags`
-  /// (kQueryFlagSampled / kQueryFlagWantBreakdown) upgrades the wire
-  /// message to V2; when flags are set and trace_id is 0 a fresh id from
-  /// NewTraceId() is stamped automatically.
+  /// Sends a query request built from an OdtInput, with its trace context
+  /// (`flags`: kQueryFlagSampled / kQueryFlagWantBreakdown). When flags
+  /// are set and trace_id is 0 a fresh id from NewTraceId() is stamped
+  /// automatically.
   Status SendQuery(uint64_t id, const OdtInput& odt, double deadline_ms = 0,
                    uint64_t trace_id = 0, uint8_t flags = 0);
 

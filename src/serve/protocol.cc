@@ -14,13 +14,11 @@ namespace {
 
 // Fixed payload sizes (type byte included). A query response additionally
 // carries a u16-length error message after the fixed part.
-constexpr size_t kQueryRequestSize = 1 + 8 * 7;
-constexpr size_t kQueryResponseFixedSize = 1 + 8 + 1 + 1 + 8 + 2;
+constexpr size_t kQueryRequestSize = 1 + 8 * 7 + 8 + 1;
+constexpr size_t kQueryResponseFixedSize = 1 + 8 + 1 + 1 + 1 + 8 + 8 * 5 + 2;
 constexpr size_t kPingSize = 1 + 8;
-// V2 extensions: the request appends trace_id (u64) + flags (u8); the
-// response appends the five f64 breakdown fields before the message.
-constexpr size_t kQueryRequestV2Size = kQueryRequestSize + 8 + 1;
-constexpr size_t kQueryResponseV2FixedSize = kQueryResponseFixedSize + 8 * 5;
+// Response flag bits.
+constexpr uint8_t kResponseFlagBreakdown = 0x1;
 
 void PutU16(std::vector<uint8_t>* out, uint16_t v) {
   out->push_back(static_cast<uint8_t>(v));
@@ -66,12 +64,8 @@ double GetF64(const uint8_t* p) {
 std::vector<uint8_t> EncodePayload(const Message& msg) {
   std::vector<uint8_t> out;
   if (const auto* q = std::get_if<QueryRequest>(&msg)) {
-    // Oldest type that carries the message: plain V1 requests keep their
-    // exact PR 6 bytes, so old servers interoperate.
-    bool v2 = q->trace_id != 0 || q->flags != 0;
-    out.reserve(v2 ? kQueryRequestV2Size : kQueryRequestSize);
-    out.push_back(static_cast<uint8_t>(v2 ? MsgType::kQueryRequestV2
-                                          : MsgType::kQueryRequest));
+    out.reserve(kQueryRequestSize);
+    out.push_back(static_cast<uint8_t>(MsgType::kQueryRequest));
     PutU64(&out, q->id);
     PutF64(&out, q->origin_lng);
     PutF64(&out, q->origin_lat);
@@ -79,28 +73,22 @@ std::vector<uint8_t> EncodePayload(const Message& msg) {
     PutF64(&out, q->dest_lat);
     PutI64(&out, q->departure_time);
     PutF64(&out, q->deadline_ms);
-    if (v2) {
-      PutU64(&out, q->trace_id);
-      out.push_back(q->flags);
-    }
+    PutU64(&out, q->trace_id);
+    out.push_back(q->flags);
   } else if (const auto* r = std::get_if<QueryResponse>(&msg)) {
     size_t msg_len = std::min(r->message.size(), kMaxErrorMessage);
-    bool v2 = r->has_breakdown;
-    out.reserve((v2 ? kQueryResponseV2FixedSize : kQueryResponseFixedSize) +
-                msg_len);
-    out.push_back(static_cast<uint8_t>(v2 ? MsgType::kQueryResponseV2
-                                          : MsgType::kQueryResponse));
+    out.reserve(kQueryResponseFixedSize + msg_len);
+    out.push_back(static_cast<uint8_t>(MsgType::kQueryResponse));
     PutU64(&out, r->id);
     out.push_back(r->code);
     out.push_back(r->quality);
+    out.push_back(r->has_breakdown ? kResponseFlagBreakdown : 0);
     PutF64(&out, r->minutes);
-    if (v2) {
-      PutF64(&out, r->breakdown.queue_us);
-      PutF64(&out, r->breakdown.batch_wait_us);
-      PutF64(&out, r->breakdown.stage1_us);
-      PutF64(&out, r->breakdown.stage2_us);
-      PutF64(&out, r->breakdown.serialize_us);
-    }
+    PutF64(&out, r->breakdown.queue_us);
+    PutF64(&out, r->breakdown.batch_wait_us);
+    PutF64(&out, r->breakdown.stage1_us);
+    PutF64(&out, r->breakdown.stage2_us);
+    PutF64(&out, r->breakdown.serialize_us);
     PutU16(&out, static_cast<uint16_t>(msg_len));
     out.insert(out.end(), r->message.begin(), r->message.begin() + msg_len);
   } else if (const auto* ping = std::get_if<Ping>(&msg)) {
@@ -122,14 +110,11 @@ Result<Message> DecodePayload(const std::vector<uint8_t>& payload) {
   }
   const uint8_t* p = payload.data();
   switch (static_cast<MsgType>(payload[0])) {
-    case MsgType::kQueryRequest:
-    case MsgType::kQueryRequestV2: {
-      bool v2 = static_cast<MsgType>(payload[0]) == MsgType::kQueryRequestV2;
-      size_t want = v2 ? kQueryRequestV2Size : kQueryRequestSize;
-      if (payload.size() != want) {
+    case MsgType::kQueryRequest: {
+      if (payload.size() != kQueryRequestSize) {
         return Status::InvalidArgument(
             "protocol: query request payload must be " +
-            std::to_string(want) + " bytes, got " +
+            std::to_string(kQueryRequestSize) + " bytes, got " +
             std::to_string(payload.size()));
       }
       QueryRequest q;
@@ -140,40 +125,32 @@ Result<Message> DecodePayload(const std::vector<uint8_t>& payload) {
       q.dest_lat = GetF64(p + 33);
       q.departure_time = GetI64(p + 41);
       q.deadline_ms = GetF64(p + 49);
-      if (v2) {
-        q.trace_id = GetU64(p + 57);
-        q.flags = p[65];
-      }
+      q.trace_id = GetU64(p + 57);
+      q.flags = p[65];
       return Message{q};
     }
-    case MsgType::kQueryResponse:
-    case MsgType::kQueryResponseV2: {
-      bool v2 = static_cast<MsgType>(payload[0]) == MsgType::kQueryResponseV2;
-      size_t fixed = v2 ? kQueryResponseV2FixedSize : kQueryResponseFixedSize;
-      if (payload.size() < fixed) {
+    case MsgType::kQueryResponse: {
+      if (payload.size() < kQueryResponseFixedSize) {
         return Status::InvalidArgument("protocol: short query response");
       }
       QueryResponse r;
       r.id = GetU64(p + 1);
       r.code = p[9];
       r.quality = p[10];
-      r.minutes = GetF64(p + 11);
-      size_t off = 19;
-      if (v2) {
-        r.has_breakdown = true;
-        r.breakdown.queue_us = GetF64(p + off);
-        r.breakdown.batch_wait_us = GetF64(p + off + 8);
-        r.breakdown.stage1_us = GetF64(p + off + 16);
-        r.breakdown.stage2_us = GetF64(p + off + 24);
-        r.breakdown.serialize_us = GetF64(p + off + 32);
-        off += 40;
-      }
-      uint16_t msg_len = GetU16(p + off);
-      if (payload.size() != fixed + msg_len) {
+      r.has_breakdown = (p[11] & kResponseFlagBreakdown) != 0;
+      r.minutes = GetF64(p + 12);
+      r.breakdown.queue_us = GetF64(p + 20);
+      r.breakdown.batch_wait_us = GetF64(p + 28);
+      r.breakdown.stage1_us = GetF64(p + 36);
+      r.breakdown.stage2_us = GetF64(p + 44);
+      r.breakdown.serialize_us = GetF64(p + 52);
+      uint16_t msg_len = GetU16(p + 60);
+      if (payload.size() != kQueryResponseFixedSize + msg_len) {
         return Status::InvalidArgument(
             "protocol: query response message length mismatch");
       }
-      r.message.assign(reinterpret_cast<const char*>(p) + fixed, msg_len);
+      r.message.assign(
+          reinterpret_cast<const char*>(p) + kQueryResponseFixedSize, msg_len);
       return Message{r};
     }
     case MsgType::kPing: {
@@ -220,10 +197,10 @@ Status FrameReader::Feed(const uint8_t* data, size_t n) {
     uint32_t len = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
                    (static_cast<uint32_t>(p[2]) << 16) |
                    (static_cast<uint32_t>(p[3]) << 24);
-    if (len > max_payload_) {
+    if (len > kMaxFramePayload) {
       status_ = Status::InvalidArgument(
           "protocol: frame payload length " + std::to_string(len) +
-          " exceeds limit " + std::to_string(max_payload_));
+          " exceeds limit " + std::to_string(kMaxFramePayload));
     }
   }
   return status_;
@@ -235,7 +212,7 @@ bool FrameReader::Next(std::vector<uint8_t>* payload) {
   uint32_t len = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
                  (static_cast<uint32_t>(p[2]) << 16) |
                  (static_cast<uint32_t>(p[3]) << 24);
-  if (len > max_payload_) {  // poisoned between Feed calls (defensive)
+  if (len > kMaxFramePayload) {  // poisoned between Feed calls (defensive)
     status_ = Status::InvalidArgument("protocol: oversized frame");
     return false;
   }

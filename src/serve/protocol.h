@@ -4,24 +4,15 @@
 // followed by the payload. The first payload byte is the message type,
 // the rest fixed-width little-endian fields (floats as IEEE-754 bit
 // patterns), so the encoding is unambiguous across hosts and trivially
-// fuzzable. Four message types:
+// fuzzable. Four message types, one layout each:
 //
-//   kQueryRequest   id, OdtInput fields, client deadline_ms
-//   kQueryResponse  id, Status code, ServedQuality, minutes, error message
+//   kQueryRequest   id, OdtInput fields, client deadline_ms, 64-bit
+//                   trace_id, flags byte (kQueryFlagSampled,
+//                   kQueryFlagWantBreakdown) — 66 bytes
+//   kQueryResponse  id, Status code, ServedQuality, flags byte (bit 0:
+//                   has_breakdown), minutes, the five timing-breakdown
+//                   fields, u16-length error message — 62 bytes + message
 //   kPing / kPong   id (liveness probe; the server echoes the id)
-//
-// Protocol V2 (request tracing) extends both query messages with distinct
-// type bytes so old peers keep working unchanged:
-//
-//   kQueryRequestV2   V1 fields + 64-bit trace_id + a flags byte
-//                     (kQueryFlagSampled, kQueryFlagWantBreakdown)
-//   kQueryResponseV2  V1 fields + the per-request timing breakdown
-//
-// The encoder picks the oldest type that carries the message (a request
-// with trace_id == 0 and flags == 0 encodes as V1; a response without a
-// breakdown encodes as V1), so a V2-aware client talking to an old server
-// degrades to exactly the V1 byte stream when it doesn't use the new
-// fields, and an old client never sees a V2 response it didn't ask for.
 //
 // Decoding is strict — unknown type, wrong payload size, or an error
 // message overrunning the payload are InvalidArgument, never UB — and
@@ -53,17 +44,15 @@ enum class MsgType : uint8_t {
   kQueryResponse = 2,
   kPing = 3,
   kPong = 4,
-  kQueryRequestV2 = 5,
-  kQueryResponseV2 = 6,
 };
 
-/// Request flag bits (QueryRequest::flags, V2 only on the wire).
+/// Request flag bits (QueryRequest::flags).
 /// The request's spans are recorded into the active trace recording.
 constexpr uint8_t kQueryFlagSampled = 0x1;
 /// Echo the per-request timing breakdown in the response.
 constexpr uint8_t kQueryFlagWantBreakdown = 0x2;
 
-/// \brief Server-side latency segments of one request, echoed in a V2
+/// \brief Server-side latency segments of one request, echoed in the
 /// response when the request set kQueryFlagWantBreakdown.
 struct TimingBreakdown {
   double queue_us = 0;       ///< batcher queue wait before wave formation
@@ -83,8 +72,7 @@ struct QueryRequest {
   /// (0 = none). Propagated into QueryOptions as the wave's earliest
   /// deadline, so the degradation ladder honors it.
   double deadline_ms = 0;
-  /// Client-generated trace context (V2): a nonzero trace_id or any flag
-  /// bit makes the encoder emit kQueryRequestV2.
+  /// Client-generated trace context (0 = untraced).
   uint64_t trace_id = 0;
   uint8_t flags = 0;  ///< kQueryFlagSampled | kQueryFlagWantBreakdown
 };
@@ -96,8 +84,8 @@ struct QueryResponse {
   uint8_t quality = 0;  ///< ServedQuality as integer (valid when code == 0)
   double minutes = 0;
   std::string message;  ///< error detail (empty when code == 0)
-  /// V2: set when the request asked for (and the server produced) a timing
-  /// breakdown; makes the encoder emit kQueryResponseV2.
+  /// Set when the request asked for (and the server produced) a timing
+  /// breakdown; `breakdown` is meaningful only then.
   bool has_breakdown = false;
   TimingBreakdown breakdown;
 };
@@ -124,13 +112,10 @@ std::vector<uint8_t> EncodeFrame(const Message& msg);
 ///
 /// Feed() appends raw bytes (in any fragmentation — single bytes, half
 /// frames, many frames at once); Next() pops complete payloads in order.
-/// A length prefix above `max_payload` poisons the reader (sticky error):
-/// the connection should be closed.
+/// A length prefix above kMaxFramePayload poisons the reader (sticky
+/// error): the connection should be closed.
 class FrameReader {
  public:
-  explicit FrameReader(uint32_t max_payload = kMaxFramePayload)
-      : max_payload_(max_payload) {}
-
   /// Appends stream bytes. Returns the sticky error state.
   Status Feed(const uint8_t* data, size_t n);
   /// Pops the next complete payload into `*payload`. False when no
@@ -142,7 +127,6 @@ class FrameReader {
   const Status& status() const { return status_; }
 
  private:
-  uint32_t max_payload_;
   std::vector<uint8_t> buf_;
   size_t pos_ = 0;  // consumed prefix of buf_
   Status status_;

@@ -115,8 +115,9 @@ Result<std::vector<DotEstimate>> ShardRouter::Route(
   }
   std::erase_if(waves, [](const ShardWave& w) { return w.wave.odts.empty(); });
 
-  // Any share's error fails the whole wave (the batcher answers every
-  // member with it — exactly one answer per request either way).
+  // A whole-wave error (an untrained model) fails every share; the
+  // batcher answers every member with it. An invalid query's own error
+  // rides in its estimate.
   DOT_RETURN_NOT_OK(OracleShard::ServeWaves(&waves, opts));
   std::vector<DotEstimate> out(odts.size());
   for (ShardWave& w : waves) {
@@ -138,14 +139,6 @@ Status ShardRouter::SwapAll() {
     }
   }
   return first_error;
-}
-
-Status ShardRouter::SwapShard(const std::string& id) {
-  auto it = index_by_id_.find(id);
-  if (it == index_by_id_.end()) {
-    return Status::NotFound("no shard with id " + id);
-  }
-  return shards_[it->second]->HotSwap();
 }
 
 std::vector<ShardStatus> ShardRouter::Statuses() const {

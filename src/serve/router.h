@@ -70,17 +70,17 @@ class ShardRouter {
 
   /// Splits the wave by shard, serves it through OracleShard::ServeWaves,
   /// merges the answers in input order. Per-request semantics match
-  /// OracleService::QueryBatch: exactly one answer per input, stage
-  /// timings summed over the shared passes, stage1_failed OR-ed.
+  /// OracleService::QueryBatch: exactly one answer per input (an invalid
+  /// input's carries its error in DotEstimate::status), stage timings
+  /// summed over the shared passes, stage1_failed OR-ed.
   Result<std::vector<DotEstimate>> Route(const std::vector<OdtInput>& odts,
                                          const QueryOptions& opts);
 
   /// Hot-swaps every shard (serially — one shadow model trains/loads at a
   /// time, bounding the swap's memory overhead). Continues past per-shard
-  /// failures and returns the first error, if any.
+  /// failures and returns the first error, if any. One shard swaps alone
+  /// through shard(i)->HotSwap().
   Status SwapAll();
-  /// Hot-swaps one shard by id (NotFound if the id is unknown).
-  Status SwapShard(const std::string& id);
 
   std::vector<ShardStatus> Statuses() const;
   /// JSON document for /shardz: {"shards": [...]}.

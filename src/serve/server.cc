@@ -10,7 +10,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/trace.h"
@@ -27,22 +26,10 @@ namespace {
 constexpr size_t kMaxOutboxBytes = 1 << 20;
 // How long Shutdown keeps flushing unsent outboxes before giving up.
 constexpr double kDrainFlushGraceMs = 5000;
-
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  return (end && *end == '\0') ? parsed : fallback;
-}
-
-int64_t EnvInt(const char* name, int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  long long parsed = std::strtoll(v, &end, 10);
-  return (end && *end == '\0') ? static_cast<int64_t>(parsed) : fallback;
-}
+constexpr int kListenBacklog = 64;
+// A request slower than this lands in the slow-query ring (/slowz) even
+// when it was served at full quality.
+constexpr double kSlowRequestMs = 100.0;
 
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -52,21 +39,6 @@ void SetNonBlocking(int fd) {
 uint8_t CodeByte(const Status& s) { return static_cast<uint8_t>(s.code()); }
 
 }  // namespace
-
-ServerConfig ServerConfig::FromEnv() {
-  ServerConfig config;
-  config.port = static_cast<int>(EnvInt("DOT_SERVE_PORT", config.port));
-  config.batcher.max_batch =
-      EnvInt("DOT_SERVE_MAX_BATCH", config.batcher.max_batch);
-  config.batcher.max_wave_age_ms =
-      EnvDouble("DOT_SERVE_MAX_WAVE_AGE_MS", config.batcher.max_wave_age_ms);
-  config.batcher.queue_capacity =
-      EnvInt("DOT_SERVE_QUEUE_CAP", config.batcher.queue_capacity);
-  config.batcher.queue_budget_ms =
-      EnvDouble("DOT_SERVE_QUEUE_BUDGET_MS", config.batcher.queue_budget_ms);
-  config.slow_request_ms = EnvDouble("DOT_SERVE_SLOW_MS", config.slow_request_ms);
-  return config;
-}
 
 Server::Metrics::Metrics() {
   auto& reg = obs::MetricsRegistry::Get();
@@ -118,7 +90,7 @@ Status Server::Start() {
     listen_fd_ = -1;
     return s;
   }
-  if (::listen(listen_fd_, config_.backlog) < 0) {
+  if (::listen(listen_fd_, kListenBacklog) < 0) {
     Status s = Status::IOError(std::string("listen: ") + std::strerror(errno));
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -176,7 +148,6 @@ void Server::AcceptReady() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     Conn conn;
     conn.fd = fd;
-    conn.reader = FrameReader(config_.max_frame_payload);
     conns_.emplace(next_conn_id_++, std::move(conn));
     ++stats_.connections_accepted;
     ++stats_.connections_open;
@@ -303,7 +274,7 @@ bool Server::ReadReady(int64_t conn_id, Conn* conn) {
               r.ok() &&
               r->quality != ServedQuality::kFull;
           double latency_ms = latency_us / 1e3;
-          if (!r.ok() || degraded || latency_ms > config_.slow_request_ms) {
+          if (!r.ok() || degraded || latency_ms > kSlowRequestMs) {
             obs::SlowQueryRecord rec;
             rec.trace_id = trace_id;
             rec.request_id = id;

@@ -11,10 +11,6 @@
 //
 // Shutdown() drains gracefully: stop accepting, let the batcher answer
 // everything queued, flush every connection's outbox, then close.
-//
-// Config knobs are also readable from the environment (DOT_SERVE_*, see
-// ServerConfig::FromEnv) so the standalone server and benches can be tuned
-// without recompiling.
 
 #ifndef DOT_SERVE_SERVER_H_
 #define DOT_SERVE_SERVER_H_
@@ -37,19 +33,8 @@ struct ServerConfig {
   /// Listen address. Port 0 binds an ephemeral port (see Server::port()).
   std::string host = "127.0.0.1";
   int port = 0;
-  /// Listen backlog and the frame-size cap enforced per connection.
-  int backlog = 64;
-  uint32_t max_frame_payload = kMaxFramePayload;
-  /// A request slower than this lands in the slow-query ring (/slowz)
-  /// even when it was served at full quality.
-  double slow_request_ms = 100.0;
   /// Batcher policy (wave formation + admission control).
   BatcherConfig batcher;
-
-  /// Reads DOT_SERVE_PORT, DOT_SERVE_MAX_BATCH, DOT_SERVE_MAX_WAVE_AGE_MS,
-  /// DOT_SERVE_QUEUE_CAP, DOT_SERVE_QUEUE_BUDGET_MS and DOT_SERVE_SLOW_MS
-  /// over the defaults. Unset / unparsable variables keep the default.
-  static ServerConfig FromEnv();
 };
 
 /// \brief Point-in-time server counters (IO-thread state).

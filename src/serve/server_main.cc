@@ -2,43 +2,44 @@
 // serves the binary protocol on a TCP port through a fleet of worker
 // shards, and drains gracefully on SIGTERM/SIGINT.  Used by the check.sh
 // loopback smokes and available for manual poking with the bench client.
+// Its settings come from the flags below alone; everything else serves its
+// default (DOT_FAILPOINTS still arms failpoints from the environment).
 //
 // Usage: dot_server [--port N] [--port-file PATH] [--checkpoint PATH]
 //                   [--admin-port N] [--admin-port-file PATH] [--shards N]
+//                   [--lame-duck-ms MS]
 //
-//   --port N            listen port (default: DOT_SERVE_PORT or ephemeral)
+//   --port N            listen port (default: ephemeral)
 //   --port-file PATH    write the bound port to PATH once listening (how
 //                       scripts discover an ephemeral port)
 //   --checkpoint PATH   cache the trained demo oracle weights at PATH
-//   --admin-port N      admin/introspection HTTP port (default:
-//                       DOT_SERVE_ADMIN_PORT; unset = no admin plane)
+//   --admin-port N      start the admin/introspection HTTP plane on port N
+//                       (0 = ephemeral; without the flag, no admin plane)
 //   --admin-port-file PATH  write the bound admin port to PATH
-//   --shards N          worker shard count (default: DOT_SERVE_SHARDS or 1)
+//   --shards N          worker shard count (default 1)
+//   --lame-duck-ms MS   after SIGTERM/SIGINT, keep serving MS milliseconds
+//                       with /readyz at 503 before draining (default 0)
 //
 // Sharding (DESIGN.md §5i): the demo model is trained once and sealed to
 // a checkpoint; every shard loads its own replica from that checkpoint, so
 // shards fail (and hot-swap) independently. The router partitions queries
 // across shards by OD-pair hash. /shardz (admin) reports per-shard health;
 // POST /swapz or SIGHUP hot-swaps every shard from the checkpoint with
-// zero downtime. Shard health knobs come from the environment:
-// DOT_SERVE_QUARANTINE_FAILURES, DOT_SERVE_PROBE_BACKOFF_MS,
-// DOT_SERVE_PROBE_BACKOFF_MAX_MS.
+// zero downtime.
 //
 // Continual adaptation (DESIGN.md §5k): the process carries an incident
 // storm scheduled for the day after the demo training window. POST
-// /adaptz fine-tunes the sealed model on fresh incident trajectories
-// (DOT_ADAPT_* knobs, see serve/adapt.h), re-seals the checkpoint on
-// improvement, and hot-swaps every shard onto it; GET /adaptz reports the
-// round history.
+// /adaptz fine-tunes the sealed model on fresh incident trajectories,
+// re-seals the checkpoint on improvement, and hot-swaps every shard onto
+// it; GET /adaptz reports the round history.
 //
-// Batching / admission knobs come from the environment (DOT_SERVE_*, see
-// ServerConfig::FromEnv). Prints "LISTENING <port>" (plus "ADMIN <port>"
-// when the admin plane is up, and "SHARDS <n>") on stdout when ready.
+// Prints "LISTENING <port>" (plus "ADMIN <port>" when the admin plane is
+// up, and "SHARDS <n>") on stdout when ready.
 //
 // Signals (handled via a self-pipe; the handlers only write one byte):
 //   SIGTERM/SIGINT  graceful drain: /readyz flips to 503, the process
-//                   lingers DOT_SERVE_LAME_DUCK_MS (default 0) so load
-//                   balancers observe the flip, then drains and exits.
+//                   lingers --lame-duck-ms so load balancers observe the
+//                   flip, then drains and exits.
 //   SIGUSR1         dumps the /varz-equivalent JSON snapshot to stderr.
 //   SIGHUP          zero-downtime model hot-swap across all shards.
 
@@ -87,22 +88,6 @@ void HandleHup(int) {
   [[maybe_unused]] ssize_t n = ::write(g_signal_pipe[1], &b, 1);
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  return (end && *end == '\0') ? parsed : fallback;
-}
-
-long EnvLong(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(v, &end, 10);
-  return (end && *end == '\0') ? parsed : fallback;
-}
-
 // The "server" section of /varz and the SIGUSR1 dump: point-in-time
 // front-end counters that live outside the metrics registry.
 std::string ServerStatsJson(const dot::serve::Server& server) {
@@ -139,10 +124,11 @@ int main(int argc, char** argv) {
   std::string port_file;
   std::string admin_port_file;
   std::string checkpoint;
-  dot::serve::ServerConfig config = dot::serve::ServerConfig::FromEnv();
-  dot::serve::AdminConfig admin_config = dot::serve::AdminConfig::FromEnv();
-  bool admin_enabled = std::getenv("DOT_SERVE_ADMIN_PORT") != nullptr;
-  long num_shards = EnvLong("DOT_SERVE_SHARDS", 1);
+  dot::serve::ServerConfig config;
+  dot::serve::AdminConfig admin_config;
+  bool admin_enabled = false;
+  long num_shards = 1;
+  double lame_duck_ms = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -165,11 +151,14 @@ int main(int argc, char** argv) {
       admin_port_file = next();
     } else if (arg == "--shards") {
       num_shards = std::atol(next());
+    } else if (arg == "--lame-duck-ms") {
+      lame_duck_ms = std::atof(next());
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: dot_server [--port N] "
                    "[--port-file PATH] [--checkpoint PATH] [--admin-port N] "
-                   "[--admin-port-file PATH] [--shards N]\n",
+                   "[--admin-port-file PATH] [--shards N] "
+                   "[--lame-duck-ms MS]\n",
                    arg.c_str());
       return 2;
     }
@@ -215,12 +204,6 @@ int main(int argc, char** argv) {
   for (long s = 0; s < num_shards; ++s) {
     dot::ShardConfig shard_config;
     shard_config.shard_id = std::to_string(s);
-    shard_config.quarantine_after_failures =
-        EnvLong("DOT_SERVE_QUARANTINE_FAILURES", 3);
-    shard_config.probe_backoff_initial_ms =
-        EnvDouble("DOT_SERVE_PROBE_BACKOFF_MS", 200);
-    shard_config.probe_backoff_max_ms =
-        EnvDouble("DOT_SERVE_PROBE_BACKOFF_MAX_MS", 10000);
     dot::Result<std::unique_ptr<dot::OracleShard>> shard =
         dot::OracleShard::Create(factory, std::move(shard_config));
     if (!shard.ok()) {
@@ -252,7 +235,7 @@ int main(int argc, char** argv) {
                                    dot::serve::kDemoCitySeed));
   dot::serve::AdaptationManager adapt(
       world->city.get(), world->grid.get(), world->dataset->split.train,
-      shard_checkpoint, dot::serve::AdaptConfig::FromEnv());
+      shard_checkpoint, dot::serve::AdaptConfig{});
   adapt.SetIncidents(storm, storm_start, storm_end);
 
   dot::serve::AdminHooks hooks;
@@ -333,10 +316,9 @@ int main(int argc, char** argv) {
   }
 
   // Lame duck: readiness flips immediately; the serving socket stays up
-  // for DOT_SERVE_LAME_DUCK_MS so load balancers can observe the flip and
-  // stop routing before connections start failing.
+  // for --lame-duck-ms so load balancers can observe the flip and stop
+  // routing before connections start failing.
   admin.SetReady(false);
-  double lame_duck_ms = EnvDouble("DOT_SERVE_LAME_DUCK_MS", 0);
   DOT_LOG_INFO << "signal received; lame duck " << lame_duck_ms
                << "ms, then draining";
   if (lame_duck_ms > 0) {

@@ -536,7 +536,7 @@ void RunBlockedEngine(Layout layout, const float* a, const float* b, float* c,
 
 std::atomic<int> g_active_kernel{-1};
 
-Kernel ResolveFromEnv() {
+Kernel ResolveKernel() {
   Kernel kernel = SimdAvailable() ? Kernel::kSimd : Kernel::kBlocked;
   if (const char* env = std::getenv("DOT_GEMM_KERNEL")) {
     Kernel parsed;
@@ -588,7 +588,7 @@ bool SimdAvailable() { return SimdMicroAvailable(); }
 Kernel ActiveKernel() {
   int v = g_active_kernel.load(std::memory_order_relaxed);
   if (v >= 0) return static_cast<Kernel>(v);
-  int resolved = static_cast<int>(ResolveFromEnv());
+  int resolved = static_cast<int>(ResolveKernel());
   int expected = -1;
   g_active_kernel.compare_exchange_strong(expected, resolved,
                                           std::memory_order_relaxed);

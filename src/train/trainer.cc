@@ -200,10 +200,7 @@ TrainReport Trainer::Run(TrainTask* task, Rng* rng) {
     sm.epoch_time_s->Set(epoch_sw.ElapsedSeconds());
     sm.epochs_total->Increment();
     sm.steps_total->Increment(batches);
-    // Grad norm walks every parameter; skip the walk when metrics are off.
-    if (obs::MetricsEnabled()) {
-      sm.grad_norm->Set(GradNorm(task->Parameters()));
-    }
+    sm.grad_norm->Set(GradNorm(task->Parameters()));
     if (config_.verbose) {
       DOT_LOG_INFO << "[" << config_.stage << "] epoch " << epoch + 1 << "/"
                    << config_.epochs << " mean loss " << mean_loss;

@@ -360,6 +360,31 @@ TEST_F(ChaosFixture, FailedProbesBackOffExponentially) {
 
 // ---- Injected latency shows in the window p95 ------------------------------
 
+TEST_F(ChaosFixture, InvalidOnlyWaveLeavesADueProbeDue) {
+  auto clock = std::make_shared<double>(0.0);
+  ShardConfig cfg = FastShardConfig("v0");
+  cfg.now_ms = [clock] { return *clock; };
+  std::unique_ptr<OracleShard> shard = MakeShard(std::move(cfg));
+  fail::Arm("serve.shard_dispatch.v0", fail::Action::kError, /*count=*/3);
+  for (int i = 0; i < 3; ++i) {
+    ExpectAllServed(shard->ServeWave(Wave(i, 2), {}), 2);
+  }
+  ASSERT_EQ(shard->health(), ShardHealth::kQuarantined);
+
+  *clock += 10;  // the probe is due
+  OdtInput far = Wave(0, 1)[0];
+  far.origin.lng = grid_->box().max_lng + 1.0;
+  Result<std::vector<DotEstimate>> r = shard->ServeWave({far}, {});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE((*r)[0].status.IsInvalidArgument());
+  // That wave reached no model, so it proved nothing.
+  EXPECT_EQ(shard->health(), ShardHealth::kQuarantined);
+  EXPECT_NEAR(shard->status().next_probe_in_ms, 0, 1e-9);
+
+  ExpectAllServed(shard->ServeWave(Wave(4, 2), {}), 2);  // the real probe
+  EXPECT_EQ(shard->health(), ShardHealth::kHealthy);
+}
+
 TEST_F(ChaosFixture, DelayInjectionRaisesWindowP95ThenAgesOut) {
   ShardConfig cfg = FastShardConfig("d0");
   cfg.window_seconds = 0.8;  // short window so slow samples age out in a test
@@ -597,6 +622,42 @@ TEST_F(ChaosFixture, RoutedColdWaveMatchesOneQueryBatchBitwise) {
     EXPECT_EQ(hits->Value(), before + 1);
     ExpectBitwiseEqual((*again)[0], (*routed)[i]);
   }
+}
+
+TEST_F(ChaosFixture, OutOfAreaQueryErrorsAloneInARoutedWave) {
+  // 15 fresh trips plus one query outside the service area, routed as one
+  // wave over 2 shards.
+  std::vector<OdtInput> valid = Wave(40, 15);
+  std::vector<OdtInput> wave = valid;
+  OdtInput far = valid[0];
+  far.origin.lng = grid_->box().max_lng + 1.0;
+  wave.push_back(far);
+  serve::ShardRouter router = MakeRouter(2, "o");
+  Result<std::vector<DotEstimate>> mixed = router.Route(wave, {});
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  ASSERT_EQ(mixed->size(), wave.size());
+
+  // The 15 answer exactly as they do routed alone on a fresh fleet.
+  serve::ShardRouter fresh = MakeRouter(2, "p");
+  Result<std::vector<DotEstimate>> alone = fresh.Route(valid, {});
+  ExpectAllServed(alone, valid.size());
+  for (size_t i = 0; i < valid.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    EXPECT_TRUE((*mixed)[i].status.ok()) << (*mixed)[i].status.ToString();
+    ExpectBitwiseEqual((*mixed)[i], (*alone)[i]);
+  }
+  // Only the 16th carries an error, and it names its own failed check.
+  const Status& bad = (*mixed)[15].status;
+  EXPECT_TRUE(bad.IsInvalidArgument()) << bad.ToString();
+  EXPECT_NE(bad.message().find("origin outside the service area"),
+            std::string::npos)
+      << bad.ToString();
+  // Neither fleet counted it.
+  int64_t mixed_queries = 0, alone_queries = 0;
+  for (const ShardStatus& s : router.Statuses()) mixed_queries += s.queries;
+  for (const ShardStatus& s : fresh.Statuses()) alone_queries += s.queries;
+  EXPECT_EQ(mixed_queries, 15);
+  EXPECT_EQ(alone_queries, 15);
 }
 
 TEST_F(ChaosFixture, PoisonedSampleFailsOnlyTheShardThatNeededIt) {

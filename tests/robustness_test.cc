@@ -264,13 +264,22 @@ TEST_F(RobustnessFixture, OutOfAreaAndBadTimeQueriesAreRejected) {
   past.departure_time = -1;
   EXPECT_TRUE(service.Query(past).status().IsInvalidArgument());
 
-  // In a batch, the error names the offending index and rejects the wave.
-  Status s = service.QueryBatch({good, far}).status();
-  ASSERT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("batch query 1"), std::string::npos);
-  // Nothing was counted or cached for the rejected wave.
+  // The rejected singles were not counted.
   EXPECT_EQ(service.stats().queries, 0);
-  EXPECT_EQ(service.cache_size(), 0);
+
+  // In a batch, the bad member gets its own error and the good one is
+  // served; only the good one is counted and cached.
+  Result<std::vector<DotEstimate>> r = service.QueryBatch({good, far});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), 2u);
+  EXPECT_TRUE((*r)[0].status.ok()) << (*r)[0].status.ToString();
+  EXPECT_TRUE(std::isfinite((*r)[0].minutes));
+  EXPECT_TRUE((*r)[1].status.IsInvalidArgument());
+  EXPECT_NE((*r)[1].status.message().find("origin outside the service area"),
+            std::string::npos)
+      << (*r)[1].status.ToString();
+  EXPECT_EQ(service.stats().queries, 1);
+  EXPECT_EQ(service.cache_size(), 1);
 }
 
 // ---- Checkpoint corruption -------------------------------------------------

@@ -1,7 +1,7 @@
 // Admin/introspection plane tests: raw-socket HTTP against a live
 // AdminServer — endpoint routing, readiness flipping, Prometheus and JSON
-// rendering (including hostile strings in the slow-query ring), and the
-// bounded /tracez capture.
+// rendering (including hostile strings in the slow-query ring and in an
+// adaptation round's error), and the bounded /tracez capture.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -18,6 +18,7 @@
 #include "obs/ring.h"
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "serve/adapt.h"
 #include "serve/admin.h"
 
 namespace dot {
@@ -132,6 +133,26 @@ TEST_F(AdminTest, SlowzDumpsTheRingWithEscaping) {
     if (resp[i] == '\n') continue;  // structural formatting, not a leak
     EXPECT_GE(static_cast<unsigned char>(resp[i]), 0x20)
         << "raw control byte leaked into /slowz JSON";
+  }
+}
+
+TEST_F(AdminTest, AdaptzEscapesControlBytesInARoundError) {
+  AdaptRound round;
+  round.round = 1;
+  round.error = "a\tb\rc\x01";
+  AdminHooks hooks;
+  hooks.adapt_json = [&round] { return round.ToJson(); };
+  AdminServer admin{AdminConfig{}, hooks};
+  ASSERT_TRUE(admin.Start().ok());
+  std::string resp = HttpGet(admin.port(), "/adaptz");
+  EXPECT_NE(resp.find("200 OK"), std::string::npos);
+  EXPECT_NE(resp.find("\"error\": \"a\\tb\\rc\\u0001\""), std::string::npos)
+      << resp;
+  size_t body = resp.find("\r\n\r\n");
+  ASSERT_NE(body, std::string::npos);
+  for (size_t i = body + 4; i < resp.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(resp[i]), 0x20)
+        << "raw control byte leaked into /adaptz JSON";
   }
 }
 

@@ -39,8 +39,11 @@ QueryRequest SampleRequest() {
 }
 
 TEST_F(ProtocolTest, QueryRequestRoundtrip) {
-  QueryRequest q = SampleRequest();
-  Result<Message> decoded = DecodePayload(EncodePayload(Message{q}));
+  QueryRequest q = SampleRequest();  // trace_id == 0, flags == 0
+  std::vector<uint8_t> payload = EncodePayload(Message{q});
+  EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryRequest));
+  EXPECT_EQ(payload.size(), 66u);
+  Result<Message> decoded = DecodePayload(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   const auto* got = std::get_if<QueryRequest>(&*decoded);
   ASSERT_NE(got, nullptr);
@@ -51,6 +54,8 @@ TEST_F(ProtocolTest, QueryRequestRoundtrip) {
   EXPECT_EQ(got->dest_lat, q.dest_lat);
   EXPECT_EQ(got->departure_time, q.departure_time);
   EXPECT_EQ(got->deadline_ms, q.deadline_ms);
+  EXPECT_EQ(got->trace_id, 0u);
+  EXPECT_EQ(got->flags, 0u);
 }
 
 TEST_F(ProtocolTest, QueryResponseRoundtrip) {
@@ -60,7 +65,10 @@ TEST_F(ProtocolTest, QueryResponseRoundtrip) {
   r.quality = 2;
   r.minutes = 17.25;
   r.message = "server overloaded: queue full";
-  Result<Message> decoded = DecodePayload(EncodePayload(Message{r}));
+  std::vector<uint8_t> payload = EncodePayload(Message{r});
+  EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryResponse));
+  EXPECT_EQ(payload.size(), 62u + r.message.size());
+  Result<Message> decoded = DecodePayload(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   const auto* got = std::get_if<QueryResponse>(&*decoded);
   ASSERT_NE(got, nullptr);
@@ -69,6 +77,12 @@ TEST_F(ProtocolTest, QueryResponseRoundtrip) {
   EXPECT_EQ(got->quality, r.quality);
   EXPECT_EQ(got->minutes, r.minutes);
   EXPECT_EQ(got->message, r.message);
+  EXPECT_FALSE(got->has_breakdown);
+  EXPECT_EQ(got->breakdown.queue_us, 0.0);
+  EXPECT_EQ(got->breakdown.batch_wait_us, 0.0);
+  EXPECT_EQ(got->breakdown.stage1_us, 0.0);
+  EXPECT_EQ(got->breakdown.stage2_us, 0.0);
+  EXPECT_EQ(got->breakdown.serialize_us, 0.0);
 }
 
 TEST_F(ProtocolTest, EmptyMessageResponseRoundtrip) {
@@ -105,19 +119,25 @@ TEST_F(ProtocolTest, DecodeRejectsGarbage) {
   // Unknown type byte.
   EXPECT_TRUE(DecodePayload({0x7F, 1, 2, 3}).status().IsInvalidArgument());
   EXPECT_TRUE(DecodePayload({0}).status().IsInvalidArgument());
-  // Right type, wrong sizes.
-  std::vector<uint8_t> req = EncodePayload(Message{SampleRequest()});
-  req.pop_back();
-  EXPECT_TRUE(DecodePayload(req).status().IsInvalidArgument());
-  req.push_back(0);
-  req.push_back(0);
-  EXPECT_TRUE(DecodePayload(req).status().IsInvalidArgument());
-  // Response whose message length overruns the payload.
+  // Right type, one byte short or one byte long, for each message type.
   QueryResponse r;
   r.id = 1;
   r.message = "abc";
+  for (const Message& m : {Message{SampleRequest()}, Message{r},
+                           Message{Ping{1}}, Message{Pong{2}}}) {
+    std::vector<uint8_t> payload = EncodePayload(m);
+    ASSERT_TRUE(DecodePayload(payload).ok());
+    std::vector<uint8_t> shorter(payload.begin(), payload.end() - 1);
+    EXPECT_TRUE(DecodePayload(shorter).status().IsInvalidArgument())
+        << "type " << static_cast<int>(payload[0]) << " one byte short";
+    std::vector<uint8_t> longer = payload;
+    longer.push_back(0);
+    EXPECT_TRUE(DecodePayload(longer).status().IsInvalidArgument())
+        << "type " << static_cast<int>(payload[0]) << " one byte long";
+  }
+  // Response whose message length overruns the payload.
   std::vector<uint8_t> resp = EncodePayload(Message{r});
-  resp[19] = 200;  // lie about the message length
+  resp[60] = 200;  // lie about the message length
   EXPECT_TRUE(DecodePayload(resp).status().IsInvalidArgument());
 }
 
@@ -260,49 +280,30 @@ TEST_F(ProtocolTest, MixedMessageStreamOverSocketpair) {
   ::close(fds[1]);
 }
 
-// --- Protocol V2: trace context + timing breakdown ------------------------
-
-TEST_F(ProtocolTest, PlainRequestStillEncodesAsV1) {
-  QueryRequest q = SampleRequest();  // trace_id == 0, flags == 0
-  std::vector<uint8_t> payload = EncodePayload(Message{q});
-  EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryRequest));
-  EXPECT_EQ(payload.size(), 57u);  // exact PR 6 bytes: old servers interop
-}
+// --- Trace context + timing breakdown --------------------------------------
+// These fields once had message types of their own (the "V2" in the test
+// names); every request and response now carries them in its one layout.
 
 TEST_F(ProtocolTest, V2RequestRoundtripCarriesTraceContext) {
-  QueryRequest q = SampleRequest();
-  q.trace_id = 0x1122334455667788ull;
-  q.flags = kQueryFlagSampled | kQueryFlagWantBreakdown;
-  std::vector<uint8_t> payload = EncodePayload(Message{q});
-  EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryRequestV2));
-  EXPECT_EQ(payload.size(), 66u);
-  Result<Message> decoded = DecodePayload(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  const auto* got = std::get_if<QueryRequest>(&*decoded);
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->id, q.id);
-  EXPECT_EQ(got->deadline_ms, q.deadline_ms);
-  EXPECT_EQ(got->trace_id, q.trace_id);
-  EXPECT_EQ(got->flags, q.flags);
-}
-
-TEST_F(ProtocolTest, FlagsAloneUpgradeTheRequestToV2) {
-  QueryRequest q = SampleRequest();
-  q.flags = kQueryFlagWantBreakdown;  // trace_id stays 0
-  std::vector<uint8_t> payload = EncodePayload(Message{q});
-  EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryRequestV2));
-  Result<Message> decoded = DecodePayload(payload);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(std::get<QueryRequest>(*decoded).flags, kQueryFlagWantBreakdown);
-}
-
-TEST_F(ProtocolTest, PlainResponseStillEncodesAsV1) {
-  QueryResponse r;
-  r.id = 9;
-  r.minutes = 12.5;
-  std::vector<uint8_t> payload = EncodePayload(Message{r});
-  EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryResponse));
-  EXPECT_EQ(payload.size(), 21u);
+  // trace_id under each combination of the flag bits: same type, same size.
+  constexpr uint8_t kBoth = kQueryFlagSampled | kQueryFlagWantBreakdown;
+  for (uint8_t flags :
+       {uint8_t{0}, kQueryFlagSampled, kQueryFlagWantBreakdown, kBoth}) {
+    QueryRequest q = SampleRequest();
+    q.trace_id = 0x1122334455667788ull;
+    q.flags = flags;
+    std::vector<uint8_t> payload = EncodePayload(Message{q});
+    EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryRequest));
+    EXPECT_EQ(payload.size(), 66u);
+    Result<Message> decoded = DecodePayload(payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    const auto* got = std::get_if<QueryRequest>(&*decoded);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->id, q.id);
+    EXPECT_EQ(got->deadline_ms, q.deadline_ms);
+    EXPECT_EQ(got->trace_id, q.trace_id);
+    EXPECT_EQ(got->flags, flags);
+  }
 }
 
 TEST_F(ProtocolTest, V2ResponseRoundtripCarriesBreakdown) {
@@ -319,7 +320,8 @@ TEST_F(ProtocolTest, V2ResponseRoundtripCarriesBreakdown) {
   r.breakdown.stage2_us = 1500.0;
   r.breakdown.serialize_us = 12.0;
   std::vector<uint8_t> payload = EncodePayload(Message{r});
-  EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryResponseV2));
+  EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryResponse));
+  EXPECT_EQ(payload.size(), 62u + r.message.size());
   Result<Message> decoded = DecodePayload(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   const auto* got = std::get_if<QueryResponse>(&*decoded);
