@@ -41,7 +41,7 @@
 #      shard via POST /swapz, export well-formed per-shard labeled
 #      metrics, and drain with lost=0;
 #  10. continual adaptation gate (DESIGN.md §5k): the trainer-parity and
-#      adaptation suites (uncertainty deciles, fine-tune guards) under
+#      adaptation suites (fine-tune guards, the fine-tune round) under
 #      ASan+UBSan, the fine-tune -> re-seal -> hot-swap chaos case under
 #      TSan (the fleet serves while the round publishes), then a live
 #      dot_server smoke: POST /adaptz fine-tunes on the incident window
@@ -338,7 +338,7 @@ fi
 
 echo "== continual adaptation: trainer parity + adaptation suites under asan+ubsan =="
 # The extracted training loop must stay bitwise-parity with the historical
-# stage loops, and the uncertainty/fine-tune guards must be memory/UB clean.
+# stage loops, and the fine-tune guards must be memory/UB clean.
 check "trainer_test (asan+ubsan)" "$BUILD_ASAN"/tests/trainer_test
 check "adaptation_test (asan+ubsan)" "$BUILD_ASAN"/tests/adaptation_test
 

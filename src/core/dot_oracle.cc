@@ -276,31 +276,8 @@ namespace {
 // ("DOT1"/"DOTS1", no CRC footer) are no longer readable; stale caches
 // fail Load and are simply retrained and overwritten.
 constexpr char kOracleMagic[] = "DOTCKPT";
-constexpr char kStage1Magic[] = "DOTS1CKPT";
 constexpr uint64_t kCheckpointVersion = 1;
 }  // namespace
-
-Status DotOracle::SaveStage1(const std::string& path) const {
-  if (!stage1_trained_) {
-    return Status::FailedPrecondition("stage 1 untrained");
-  }
-  CheckpointWriter w(path, kStage1Magic, kCheckpointVersion);
-  if (!w.Ok()) return Status::IOError("cannot open " + path);
-  DOT_RETURN_NOT_OK(denoiser_->Save(w.writer()));
-  return w.Commit();
-}
-
-Status DotOracle::LoadStage1(const std::string& path) {
-  if (DOT_FAILPOINT("dot_oracle.load") == fail::Action::kError) {
-    return Status::IOError("failpoint 'dot_oracle.load' fired for " + path);
-  }
-  DOT_ASSIGN_OR_RETURN(CheckpointReader r, CheckpointReader::Open(
-                                               path, kStage1Magic,
-                                               kCheckpointVersion));
-  DOT_RETURN_NOT_OK(denoiser_->Load(&r.reader()));
-  stage1_trained_ = true;
-  return Status::OK();
-}
 
 Status DotOracle::SaveFile(const std::string& path) const {
   if (!stage1_trained_ || !stage2_trained_) {

@@ -156,21 +156,6 @@ class DotOracle {
                   const std::vector<TripSample>& old,
                   const FineTuneConfig& config);
 
-  /// Per-query uncertainty from `draws` independent diffusion draws at
-  /// `sample_steps` DDIM steps (0 = configured count): the standard
-  /// deviation of the estimated minutes across draws plus a relative
-  /// (heteroscedastic) floor proportional to the query's magnitude — the
-  /// draw-mean minutes and the sampled route extent in grid cells, the
-  /// latter because TTE error grows with trip length even when the scalar
-  /// estimate regresses long trips toward the mean. Each value is observed
-  /// into the `dot_oracle_uncertainty_minutes` histogram + rolling window,
-  /// and is monotone with actual error on the demo world
-  /// (tests/adaptation_test.cc), which is what lets the serving ladder
-  /// triage low-confidence answers.
-  Result<std::vector<double>> EstimateUncertainty(
-      const std::vector<OdtInput>& odts, int64_t draws,
-      int64_t sample_steps = 0);
-
   /// Full oracle query (Eq. 1): odt -> (travel time, inferred PiT).
   Result<DotEstimate> Estimate(const OdtInput& odt);
 
@@ -243,11 +228,6 @@ class DotOracle {
   /// must be constructed with an identical architecture config.
   Status SaveFile(const std::string& path) const;
   Status LoadFile(const std::string& path);
-
-  /// Stage-1-only checkpointing (the denoiser); lets callers iterate on
-  /// stage 2 / sampling without repeating the expensive diffusion training.
-  Status SaveStage1(const std::string& path) const;
-  Status LoadStage1(const std::string& path);
 
   /// Copies `other`'s trained stage-1 denoiser weights into this oracle
   /// (identical UNet architecture required). Used by the Table-7 ablations

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <map>
 #include <numeric>
-#include <random>
 #include <thread>
 
 #include "obs/trace.h"
@@ -124,15 +123,8 @@ void OracleService::InferWithRetry(const std::vector<OdtInput>& odts,
   int64_t attempts = 1 + std::max<int64_t>(0, config_.max_retries);
   for (int64_t a = 0; a < attempts && !todo->empty(); ++a) {
     if (a > 0) {
-      // Exponential backoff with ±25% jitter: after a common-cause failure
-      // every shard retries on its own schedule instead of re-storming the
-      // backend in lockstep.
-      thread_local std::mt19937_64 jitter_rng(
-          std::hash<std::thread::id>{}(std::this_thread::get_id()));
-      std::uniform_real_distribution<double> jitter(0.75, 1.25);
       double backoff_ms =
-          static_cast<double>(config_.retry_backoff_ms << (a - 1)) *
-          jitter(jitter_rng);
+          static_cast<double>(config_.retry_backoff_ms << (a - 1));
       if (opts.deadline_ms > 0 &&
           opts.deadline_ms - sw.ElapsedSeconds() * 1e3 <= backoff_ms) {
         break;  // the backoff alone would bust the deadline: stop retrying

@@ -53,10 +53,11 @@ struct OracleServiceConfig {
   /// Bounded retry for transient (Internal) stage-1 failures: total
   /// attempts per ladder level are 1 + max_retries.
   int64_t max_retries = 2;
-  /// Backoff before retry k is retry_backoff_ms << (k-1) milliseconds,
-  /// jittered by ±25% so shards that fail from a common cause desynchronize
-  /// instead of re-storming the oracle in lockstep; retries that cannot fit
-  /// their backoff inside the deadline are skipped.
+  /// Backoff before retry k is exactly retry_backoff_ms << (k-1)
+  /// milliseconds. A wave runs one retry sequence for all its shards and
+  /// the batcher serves one wave at a time, so there is no lockstep to
+  /// break up. Retries that cannot fit their backoff inside the deadline
+  /// are skipped.
   int64_t retry_backoff_ms = 1;
   /// Estimate of last resort (kFallback). When unset, the oracle's stage-2
   /// training-mean travel time is served.

@@ -1,7 +1,7 @@
 // DotOracle's training half: TrainStage1/TrainStage2 as thin TrainTask
 // adapters over the shared hardened loop (train/trainer.h), plus the
-// continual fine-tune path and the per-query uncertainty estimator
-// (DESIGN.md §5k). The serving/inference half lives in dot_oracle.cc.
+// continual fine-tune path (DESIGN.md §5k). The serving/inference half
+// lives in dot_oracle.cc.
 
 #include <algorithm>
 #include <cmath>
@@ -11,8 +11,6 @@
 #include "core/dot_oracle.h"
 #include "eval/metrics.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "obs/window.h"
 #include "tensor/ops.h"
 #include "tensor/optim.h"
 #include "train/trainer.h"
@@ -384,59 +382,6 @@ Status DotOracle::FineTune(const std::vector<TripSample>& fresh,
   }
   finetune_report_ = combined;
   return Status::OK();
-}
-
-Result<std::vector<double>> DotOracle::EstimateUncertainty(
-    const std::vector<OdtInput>& odts, int64_t draws, int64_t sample_steps) {
-  if (!stage1_trained_ || !stage2_trained_) {
-    return Status::FailedPrecondition("oracle not trained");
-  }
-  if (draws < 2) {
-    return Status::InvalidArgument("uncertainty needs at least 2 draws");
-  }
-  if (odts.empty()) return std::vector<double>{};
-  obs::TraceSpan span("DotOracle::EstimateUncertainty");
-  std::vector<double> sum(odts.size(), 0.0);
-  std::vector<double> sq(odts.size(), 0.0);
-  std::vector<double> cells(odts.size(), 0.0);
-  for (int64_t d = 0; d < draws; ++d) {
-    DOT_ASSIGN_OR_RETURN(InferredPits draw, TryInferPits(odts, sample_steps));
-    if (std::find(draw.poisoned.begin(), draw.poisoned.end(), 1) !=
-        draw.poisoned.end()) {
-      return Status::Internal("stage 1 sampler produced non-finite PiT values");
-    }
-    const std::vector<Pit>& pits = draw.pits;
-    std::vector<double> minutes = EstimateFromPits(pits, odts);
-    for (size_t i = 0; i < minutes.size(); ++i) {
-      sum[i] += minutes[i];
-      sq[i] += minutes[i] * minutes[i];
-      cells[i] += static_cast<double>(pits[i].NumVisited());
-    }
-  }
-  // Heteroscedastic noise model: the cross-draw spread is the sampler's own
-  // disagreement, floored by a relative term proportional to the query's
-  // magnitude. TTE error grows with trip length, and the sampled route
-  // extent (visited cells) tracks length even when the scalar estimate
-  // regresses long trips toward the mean, so both magnitude readouts enter.
-  constexpr double kMinutesPerCell = 1.0;
-  constexpr double kRelativeNoise = 0.25;
-  static obs::Histogram* hist = obs::MetricsRegistry::Get().GetHistogram(
-      "dot_oracle_uncertainty_minutes",
-      obs::Histogram::LinearBounds(0.25, 0.25, 40));
-  static obs::RollingHistogram* window = obs::MetricsRegistry::Get().GetWindow(
-      "dot_oracle_uncertainty_minutes",
-      obs::Histogram::LinearBounds(0.25, 0.25, 40));
-  std::vector<double> out(odts.size());
-  double dn = static_cast<double>(draws);
-  for (size_t i = 0; i < odts.size(); ++i) {
-    double mean = sum[i] / dn;
-    double var = std::max(0.0, sq[i] / dn - mean * mean);
-    double magnitude = mean + kMinutesPerCell * cells[i] / dn;
-    out[i] = std::sqrt(var) + kRelativeNoise * std::max(0.0, magnitude);
-    hist->Observe(out[i]);
-    window->Observe(out[i]);
-  }
-  return out;
 }
 
 }  // namespace dot

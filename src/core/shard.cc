@@ -337,6 +337,11 @@ Status OracleShard::HotSwap() {
           "model");
     }
     for (const auto& e : *warm) {
+      if (!e.status.ok() || e.quality != ServedQuality::kFull) {
+        return Status::Internal(
+            "hot swap: canary answer below full quality; keeping the "
+            "current model");
+      }
       if (!std::isfinite(e.minutes)) {
         return Status::Internal(
             "hot swap: canary produced a non-finite estimate; keeping the "

@@ -1,5 +1,6 @@
 // Deadline-aware dynamic batcher (DESIGN.md §5g): coalesces concurrent
-// single queries into OracleService::QueryBatch waves.
+// single queries into waves for one batched backend (the shard router in
+// dot_server).
 //
 // Requests enter a bounded FIFO queue; a wave is flushed when the queue
 // reaches `max_batch` (size trigger) or the oldest queued request is due
@@ -61,8 +62,9 @@
 namespace dot {
 namespace serve {
 
-/// The batched backend a wave is handed to — normally
-/// OracleService::QueryBatch, a stub in tests.
+/// The batched backend a wave is handed to: ShardRouter::Route in
+/// production (RouterBackend), one OracleService::QueryBatch or a stub in
+/// tests.
 using BatchBackend = std::function<Result<std::vector<DotEstimate>>(
     const std::vector<OdtInput>&, const QueryOptions&)>;
 
@@ -213,7 +215,8 @@ class DynamicBatcher {
   std::thread thread_;
 };
 
-/// Adapts an OracleService into a BatchBackend (the production wiring).
+/// Adapts one OracleService into a BatchBackend (unsharded; the serving
+/// tests use it, production serves through RouterBackend).
 BatchBackend OracleBackend(OracleService* service);
 
 }  // namespace serve

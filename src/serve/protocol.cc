@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -249,6 +251,35 @@ Status WriteFrame(int fd, const Message& msg) {
     off += static_cast<size_t>(w);
   }
   return Status::OK();
+}
+
+Result<Listener> ListenTcp(const std::string& host, int port, int backlog) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::IOError(std::string("socket: ") + std::strerror(errno));
+  }
+  auto fail = [fd](Status s) {
+    ::close(fd);
+    return s;
+  };
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return fail(Status::InvalidArgument("bad listen host: " + host));
+  }
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    return fail(Status::IOError(std::string("bind: ") + std::strerror(errno)));
+  }
+  if (::listen(fd, backlog) < 0) {
+    return fail(
+        Status::IOError(std::string("listen: ") + std::strerror(errno)));
+  }
+  socklen_t len = sizeof(addr);
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  return Listener{fd, ntohs(addr.sin_port)};
 }
 
 }  // namespace serve

@@ -138,6 +138,18 @@ class FrameReader {
 /// fails without writing.
 Status WriteFrame(int fd, const Message& msg);
 
+/// A bound, listening TCP socket. The caller owns `fd`.
+struct Listener {
+  int fd = -1;
+  int port = 0;  ///< the bound port (resolves a requested port 0)
+};
+
+/// Opens a blocking TCP socket with SO_REUSEADDR, binds it to
+/// `host`:`port` (port 0 = an ephemeral port) and listens with `backlog`.
+/// On error nothing is left open. The server and the admin plane both
+/// listen through this.
+Result<Listener> ListenTcp(const std::string& host, int port, int backlog);
+
 }  // namespace serve
 }  // namespace dot
 

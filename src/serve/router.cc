@@ -1,7 +1,7 @@
 #include "serve/router.h"
 
-#include <algorithm>
 #include <cmath>
+#include <set>
 #include <utility>
 
 #include "util/logging.h"
@@ -16,18 +16,6 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// FNV-1a 64 over a string — the ring's deterministic base hash (std::hash
-/// is implementation-defined; ring placement must not change across
-/// standard libraries).
-uint64_t Fnv1a64(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 }  // namespace
@@ -48,55 +36,22 @@ uint64_t OdKey(const OdtInput& odt) {
   return h;
 }
 
-HashRing::HashRing(int64_t vnodes_per_shard)
-    : vnodes_(std::max<int64_t>(1, vnodes_per_shard)) {}
-
-void HashRing::AddShard(const std::string& id) {
-  size_t before = ring_.size();
-  for (int64_t v = 0; v < vnodes_; ++v) {
-    uint64_t point = SplitMix64(Fnv1a64(id + "#" + std::to_string(v)));
-    ring_.emplace(point, id);
-  }
-  // Vnode point collisions across shards are possible in principle
-  // (emplace keeps the incumbent); they only shave single vnodes, never a
-  // shard.
-  if (ring_.size() > before) ++num_shards_;
+size_t ShardIndex(const OdtInput& odt, size_t num_shards) {
+  return static_cast<size_t>(OdKey(odt) % num_shards);
 }
 
-void HashRing::RemoveShard(const std::string& id) {
-  bool removed = false;
-  for (auto it = ring_.begin(); it != ring_.end();) {
-    if (it->second == id) {
-      it = ring_.erase(it);
-      removed = true;
-    } else {
-      ++it;
-    }
-  }
-  if (removed && num_shards_ > 0) --num_shards_;
-}
-
-const std::string& HashRing::ShardFor(uint64_t key) const {
-  DOT_CHECK(!ring_.empty()) << "ShardFor on an empty ring";
-  auto it = ring_.lower_bound(key);
-  if (it == ring_.end()) it = ring_.begin();  // wrap past the top
-  return it->second;
-}
-
-ShardRouter::ShardRouter(std::vector<std::unique_ptr<OracleShard>> shards,
-                         int64_t vnodes_per_shard)
-    : shards_(std::move(shards)), ring_(vnodes_per_shard) {
+ShardRouter::ShardRouter(std::vector<std::unique_ptr<OracleShard>> shards)
+    : shards_(std::move(shards)) {
   DOT_CHECK(!shards_.empty()) << "router needs at least one shard";
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::string& id = shards_[i]->id();
-    DOT_CHECK(index_by_id_.emplace(id, i).second)
-        << "duplicate shard id " << id;
-    ring_.AddShard(id);
+  std::set<std::string> ids;
+  for (const auto& shard : shards_) {
+    DOT_CHECK(ids.insert(shard->id()).second)
+        << "duplicate shard id " << shard->id();
   }
 }
 
 OracleShard* ShardRouter::ShardForQuery(const OdtInput& odt) {
-  return shards_[index_by_id_.at(ring_.ShardFor(OdKey(odt)))].get();
+  return shards_[ShardIndex(odt, shards_.size())].get();
 }
 
 Result<std::vector<DotEstimate>> ShardRouter::Route(
@@ -109,7 +64,7 @@ Result<std::vector<DotEstimate>> ShardRouter::Route(
   std::vector<ShardWave> waves(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) waves[s].shard = shards_[s].get();
   for (size_t i = 0; i < odts.size(); ++i) {
-    ServiceWave& w = waves[index_by_id_.at(ring_.ShardFor(OdKey(odts[i])))].wave;
+    ServiceWave& w = waves[ShardIndex(odts[i], shards_.size())].wave;
     w.odts.push_back(odts[i]);
     w.positions.push_back(i);
   }

@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -69,36 +68,10 @@ Server::~Server() { Shutdown(); }
 
 Status Server::Start() {
   DOT_CHECK(!started_) << "Start() called twice";
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(config_.port));
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad listen host: " + config_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status s = Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  if (::listen(listen_fd_, kListenBacklog) < 0) {
-    Status s = Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
+  DOT_ASSIGN_OR_RETURN(Listener listener,
+                       ListenTcp(config_.host, config_.port, kListenBacklog));
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
   SetNonBlocking(listen_fd_);
   if (::pipe(wake_pipe_) < 0) {
     Status s = Status::IOError(std::string("pipe: ") + std::strerror(errno));

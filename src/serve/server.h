@@ -51,8 +51,8 @@ struct ServerStats {
 /// \brief TCP front-end over a batched oracle backend.
 class Server {
  public:
-  /// `backend` is normally OracleBackend(service); any BatchBackend works
-  /// (the stress tests serve synthetic answers without a model).
+  /// `backend` is RouterBackend(router) in dot_server; any BatchBackend
+  /// works (the stress tests serve synthetic answers without a model).
   Server(BatchBackend backend, ServerConfig config = {});
   ~Server();  // implies Shutdown()
 

@@ -1,15 +1,13 @@
-// Continual adaptation loop (DESIGN.md §5k): per-query uncertainty as an
-// error predictor, FineTune's replay-mix fine-tuning with its report
-// plumbing, and the full incident -> fine-tune -> re-seal -> hot-swap
-// round against a live shard fleet under query load.
+// Continual adaptation loop (DESIGN.md §5k): FineTune's replay-mix
+// fine-tuning with its report plumbing, and the full incident ->
+// fine-tune -> re-seal -> hot-swap round against a live shard fleet under
+// query load.
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,64 +68,6 @@ TripConfig* AdaptationFixture::trip_config_ = nullptr;
 BenchmarkDataset* AdaptationFixture::dataset_ = nullptr;
 Grid* AdaptationFixture::grid_ = nullptr;
 DotOracle* AdaptationFixture::oracle_ = nullptr;
-
-TEST_F(AdaptationFixture, UncertaintyGuardsItsPreconditions) {
-  DotConfig cfg = serve::DemoDotConfig();
-  DotOracle untrained(cfg, *grid_);
-  std::vector<OdtInput> odts = {dataset_->split.test[0].odt};
-  EXPECT_TRUE(untrained.EstimateUncertainty(odts, 3).status().IsFailedPrecondition());
-  EXPECT_TRUE(oracle_->EstimateUncertainty(odts, 1).status().IsInvalidArgument());
-  Result<std::vector<double>> empty = oracle_->EstimateUncertainty({}, 3);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-}
-
-TEST_F(AdaptationFixture, UncertaintyIsMonotoneWithActualError) {
-  // A fresh unseen dataset from the same city so the deciles have mass.
-  TripConfig tc = *trip_config_;
-  tc.num_trips = 700;
-  BenchmarkDataset eval_ds = BuildDataset(*city_, tc, 4242, "adapt-eval");
-  std::vector<TripSample> eval = eval_ds.split.train;
-  eval.insert(eval.end(), eval_ds.split.val.begin(), eval_ds.split.val.end());
-  eval.insert(eval.end(), eval_ds.split.test.begin(), eval_ds.split.test.end());
-  std::vector<OdtInput> odts;
-  std::vector<double> truth;
-  for (const auto& s : eval) {
-    odts.push_back(s.odt);
-    truth.push_back(s.travel_time_minutes);
-  }
-  Result<std::vector<DotEstimate>> est = oracle_->EstimateBatch(odts);
-  ASSERT_TRUE(est.ok());
-  Result<std::vector<double>> spread =
-      oracle_->EstimateUncertainty(odts, /*draws=*/5, /*sample_steps=*/3);
-  ASSERT_TRUE(spread.ok());
-
-  std::vector<size_t> order(odts.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return (*spread)[a] < (*spread)[b]; });
-  size_t decile = order.size() / 10;
-  ASSERT_GE(decile, 4u);
-  auto mae_of = [&](size_t begin, size_t end) {
-    double sum = 0;
-    for (size_t i = begin; i < end; ++i) {
-      size_t idx = order[i];
-      sum += std::abs((*est)[idx].minutes - truth[idx]);
-    }
-    return sum / static_cast<double>(end - begin);
-  };
-  double low_unc_mae = mae_of(0, decile);
-  double high_unc_mae = mae_of(order.size() - decile, order.size());
-  // The confidence signal must rank: queries the oracle is uncertain
-  // about miss by more than queries it is confident about.
-  EXPECT_GT(high_unc_mae, low_unc_mae);
-  // And the values live on a minutes scale the serving ladder can
-  // threshold (positive, bounded by the histogram range).
-  for (double u : *spread) {
-    EXPECT_GT(u, 0.0);
-    EXPECT_LT(u, 60.0);
-  }
-}
 
 TEST_F(AdaptationFixture, FineTuneGuardsItsPreconditions) {
   DotConfig cfg = serve::DemoDotConfig();

@@ -528,6 +528,58 @@ TEST_F(ChaosFixture, UntrainedFactoryOutputIsRejectedAtCreateAndSwap) {
   Result<std::unique_ptr<OracleShard>> bad =
       OracleShard::Create(untrained, FastShardConfig("u0"));
   EXPECT_FALSE(bad.ok());
+
+  // The swap half: the factory's first model is trained, every later one
+  // is not, so the shadow is refused before it takes any traffic.
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  ModelFactory trained_once = [calls]() -> Result<std::unique_ptr<DotOracle>> {
+    if (calls->fetch_add(1) > 0) {
+      return std::make_unique<DotOracle>(*cfg_, *grid_);
+    }
+    return CheckpointFactory()();
+  };
+  Result<std::unique_ptr<OracleShard>> shard =
+      OracleShard::Create(trained_once, FastShardConfig("u1"));
+  ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+  Status swap = (*shard)->HotSwap();
+  EXPECT_TRUE(swap.IsFailedPrecondition()) << swap.ToString();
+  EXPECT_EQ((*shard)->model_version(), 1);
+  EXPECT_EQ((*shard)->status().swaps, 0);
+  Result<std::vector<DotEstimate>> r = (*shard)->ServeWave(Wave(0, 3), {});
+  ExpectAllServed(r, 3);
+  EXPECT_EQ((*r)[0].quality, ServedQuality::kFull);
+}
+
+// ---- The canary admits only full-quality answers ---------------------------
+
+TEST_F(ChaosFixture, CanaryBelowFullQualityRefusesTheSwap) {
+  // Count -1: every sampler call diverges, so the shadow's full pass and
+  // its reduced-steps round both fail the canary. Count 1: only the full
+  // pass diverges (max_retries = 0, so no retry runs) and the
+  // reduced-steps round answers every canary query, which must not be
+  // enough to publish the shadow either.
+  struct Case {
+    int64_t count;
+    const char* id;
+    const char* refusal;
+  };
+  for (const Case& c : {Case{-1, "k0", "canary stage-1 inference failed"},
+                        Case{1, "k1", "canary answer below full quality"}}) {
+    SCOPED_TRACE(c.id);
+    std::unique_ptr<OracleShard> shard = MakeShard(FastShardConfig(c.id));
+    ExpectAllServed(shard->ServeWave(Wave(0, 4), {}), 4);  // fills the canary
+    fail::Arm("diffusion.sample", fail::Action::kNan, c.count);
+    Status swap = shard->HotSwap();
+    fail::DisarmAll();
+    EXPECT_FALSE(swap.ok());
+    EXPECT_NE(swap.message().find(c.refusal), std::string::npos)
+        << swap.ToString();
+    EXPECT_EQ(shard->model_version(), 1);
+    EXPECT_EQ(shard->status().swaps, 0);
+    Result<std::vector<DotEstimate>> r = shard->ServeWave(Wave(20, 4), {});
+    ExpectAllServed(r, 4);
+    for (const DotEstimate& e : *r) EXPECT_EQ(e.quality, ServedQuality::kFull);
+  }
 }
 
 // ---- Per-shard metrics -----------------------------------------------------

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/oracle_service.h"
+#include "util/checkpoint.h"
 #include "util/failpoint.h"
 
 namespace dot {
@@ -21,6 +22,16 @@ std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+/// The stage-1 denoiser's parameter bytes, in registration order.
+std::string DenoiserBytes(const DotOracle& oracle) {
+  std::string out;
+  for (const Tensor& t : oracle.denoiser().Parameters()) {
+    out.append(reinterpret_cast<const char*>(t.data()),
+               static_cast<size_t>(t.numel()) * sizeof(float));
+  }
+  return out;
 }
 
 class RobustnessFixture : public ::testing::Test {
@@ -316,8 +327,11 @@ TEST_F(RobustnessFixture, CorruptAndTruncatedCheckpointsAreRejected) {
     EXPECT_FALSE(fresh.trained());
   }
 
-  {  // Wrong container kind: a stage-1 checkpoint is not a full oracle.
-    ASSERT_TRUE(oracle_->SaveStage1(path).ok());
+  {  // Wrong container kind: a sealed file under another magic.
+    CheckpointWriter w(path, "NOTDOT", /*version=*/1);
+    ASSERT_TRUE(w.Ok());
+    w.writer()->WriteF64(1.0);
+    ASSERT_TRUE(w.Commit().ok());
     DotOracle fresh(*cfg_, *grid_);
     Status s = fresh.LoadFile(path);
     ASSERT_FALSE(s.ok());
@@ -354,9 +368,7 @@ TEST_F(RobustnessFixture, LoadFailpointInjectsIoError) {
 TEST_F(RobustnessFixture, NanLossRollsBackToLastGoodWeights) {
   DotOracle oracle(*cfg_, *grid_);
   ASSERT_TRUE(oracle.TrainStage1(dataset_->split.train).ok());
-  std::string before = ::testing::TempDir() + "/robust_s1_before.bin";
-  std::string after = ::testing::TempDir() + "/robust_s1_after.bin";
-  ASSERT_TRUE(oracle.SaveStage1(before).ok());
+  std::string before = DenoiserBytes(oracle);
 
   int64_t rollbacks_before =
       StageCounterValue("dot_train_rollbacks_total", "stage1");
@@ -375,10 +387,7 @@ TEST_F(RobustnessFixture, NanLossRollsBackToLastGoodWeights) {
   EXPECT_GT(oracle.stage1_report().rollbacks, 0);
   EXPECT_GT(oracle.stage1_report().skipped_steps, 0);
   EXPECT_EQ(oracle.stage1_report().steps, 0);
-  ASSERT_TRUE(oracle.SaveStage1(after).ok());
-  EXPECT_EQ(ReadFileBytes(before), ReadFileBytes(after));
-  std::remove(before.c_str());
-  std::remove(after.c_str());
+  EXPECT_EQ(DenoiserBytes(oracle), before);
 }
 
 TEST_F(RobustnessFixture, Stage2NanLossIsSkippedNotTrainedOn) {

@@ -1,13 +1,11 @@
-// Consistent-hash ring and router partition-key properties (DESIGN.md
-// §5i). Pure-function tests — no model, no sockets: the ring's stability
-// and balance guarantees are what make shard resizes cheap (only ~1/N of
-// keys move) and per-shard caches effective (balanced load, all ToD
-// buckets of one OD pair co-located). Dispatch behavior over live shards
-// is covered by chaos_test.cc.
+// Router partition-key properties (DESIGN.md §5i). Pure-function tests —
+// no model, no sockets: a deterministic, balanced OD-pair partition keeps
+// per-shard caches effective (every shard gets its share of the load, and
+// all ToD buckets of one OD pair share a shard). Dispatch behavior over
+// live shards is covered by chaos_test.cc.
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,97 +73,31 @@ TEST(OdKeyTest, SubQuantizationJitterSharesAKey) {
   EXPECT_EQ(OdKey(odt), OdKey(jittered));
 }
 
-TEST(HashRingTest, LookupIsDeterministicAndCoversAllShards) {
-  HashRing ring;
-  for (int s = 0; s < 4; ++s) ring.AddShard(std::to_string(s));
-  EXPECT_EQ(ring.num_shards(), 4u);
-  std::map<std::string, int> hits;
-  for (const OdtInput& odt : SyntheticDemand(1000)) {
-    uint64_t key = OdKey(odt);
-    const std::string& a = ring.ShardFor(key);
-    EXPECT_EQ(ring.ShardFor(key), a);  // stable on repeat lookup
-    ++hits[a];
+TEST(ShardIndexTest, IsDeterministicAndReachesEveryIndex) {
+  std::vector<OdtInput> demand = SyntheticDemand(1000);
+  for (size_t n = 1; n <= 8; ++n) {
+    std::vector<int> hits(n, 0);
+    for (const OdtInput& odt : demand) {
+      size_t s = ShardIndex(odt, n);
+      ASSERT_LT(s, n);
+      EXPECT_EQ(ShardIndex(odt, n), s);  // stable on repeat lookup
+      ++hits[s];
+    }
+    for (size_t s = 0; s < n; ++s) {
+      EXPECT_GT(hits[s], 0) << "shard " << s << " of " << n << " gets nothing";
+    }
   }
-  EXPECT_EQ(hits.size(), 4u);  // every shard owns some keyspace
 }
 
-TEST(HashRingTest, BalanceWithinFifteenPercentAcrossShards) {
-  HashRing ring;
-  const int kShards = 4;
-  for (int s = 0; s < kShards; ++s) ring.AddShard(std::to_string(s));
+TEST(ShardIndexTest, BalanceWithinFifteenPercentAcrossShards) {
+  const size_t kShards = 4;
   std::vector<OdtInput> demand = SyntheticDemand(1000);
-  std::map<std::string, int> hits;
-  for (const OdtInput& odt : demand) ++hits[ring.ShardFor(OdKey(odt))];
+  std::vector<int> hits(kShards, 0);
+  for (const OdtInput& odt : demand) ++hits[ShardIndex(odt, kShards)];
   double expected = static_cast<double>(demand.size()) / kShards;
-  for (const auto& [id, count] : hits) {
-    EXPECT_NEAR(count, expected, 0.15 * expected)
-        << "shard " << id << " owns " << count << " of " << demand.size();
-  }
-}
-
-TEST(HashRingTest, AddingOneShardMovesAboutOneNthOfKeys) {
-  HashRing ring;
-  const int kShards = 4;
-  for (int s = 0; s < kShards; ++s) ring.AddShard(std::to_string(s));
-  std::vector<OdtInput> demand = SyntheticDemand(1000);
-  std::vector<std::string> before;
-  before.reserve(demand.size());
-  for (const OdtInput& odt : demand) before.push_back(ring.ShardFor(OdKey(odt)));
-
-  ring.AddShard("new");
-  int moved = 0;
-  for (size_t i = 0; i < demand.size(); ++i) {
-    const std::string& now = ring.ShardFor(OdKey(demand[i]));
-    if (now != before[i]) {
-      // Keys only ever move TO the new shard; a key hopping between two
-      // incumbent shards would invalidate both warm caches for nothing.
-      EXPECT_EQ(now, "new");
-      ++moved;
-    }
-  }
-  // Ideal movement is 1/(N+1) = 20%; virtual nodes keep it close.
-  double frac = static_cast<double>(moved) / demand.size();
-  EXPECT_GT(frac, 0.10);
-  EXPECT_LT(frac, 0.30);
-}
-
-TEST(HashRingTest, RemovingAShardOnlyReassignsItsOwnKeys) {
-  HashRing ring;
-  const int kShards = 5;
-  for (int s = 0; s < kShards; ++s) ring.AddShard(std::to_string(s));
-  std::vector<OdtInput> demand = SyntheticDemand(1000);
-  std::vector<std::string> before;
-  before.reserve(demand.size());
-  for (const OdtInput& odt : demand) before.push_back(ring.ShardFor(OdKey(odt)));
-
-  ring.RemoveShard("2");
-  EXPECT_EQ(ring.num_shards(), 4u);
-  int moved = 0;
-  for (size_t i = 0; i < demand.size(); ++i) {
-    const std::string& now = ring.ShardFor(OdKey(demand[i]));
-    EXPECT_NE(now, "2");
-    if (now != before[i]) {
-      // Only the removed shard's keys are orphaned; everyone else's
-      // assignment survives the resize.
-      EXPECT_EQ(before[i], "2");
-      ++moved;
-    }
-  }
-  double frac = static_cast<double>(moved) / demand.size();
-  EXPECT_GT(frac, 0.10);  // "2" owned ~1/5 of the keys
-  EXPECT_LT(frac, 0.30);
-}
-
-TEST(HashRingTest, AddRemoveRoundTripRestoresTheOriginalAssignment) {
-  HashRing ring;
-  for (int s = 0; s < 3; ++s) ring.AddShard(std::to_string(s));
-  std::vector<OdtInput> demand = SyntheticDemand(300);
-  std::vector<std::string> before;
-  for (const OdtInput& odt : demand) before.push_back(ring.ShardFor(OdKey(odt)));
-  ring.AddShard("tmp");
-  ring.RemoveShard("tmp");
-  for (size_t i = 0; i < demand.size(); ++i) {
-    EXPECT_EQ(ring.ShardFor(OdKey(demand[i])), before[i]);
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_NEAR(hits[s], expected, 0.15 * expected)
+        << "shard " << s << " owns " << hits[s] << " of " << demand.size();
   }
 }
 
