@@ -20,10 +20,6 @@ export DOT_BENCH_SAMPLER_JSON=${DOT_BENCH_SAMPLER_JSON:-BENCH_sampler.json}
 export DOT_BENCH_ADAPTATION_JSON=${DOT_BENCH_ADAPTATION_JSON:-BENCH_adaptation.json}
 for b in build/bench/bench_*; do
   echo "===== $b =====" | tee -a "$OUT"
-  if [ "$(basename $b)" = "bench_micro_kernels" ]; then
-    timeout 1200 "$b" --benchmark_min_time=0.2 >> "$OUT" 2>&1 || echo "FAILED: $b" | tee -a "$OUT"
-  else
-    timeout 3600 "$b" >> "$OUT" 2>&1 || echo "FAILED: $b" | tee -a "$OUT"
-  fi
+  timeout 3600 "$b" >> "$OUT" 2>&1 || echo "FAILED: $b" | tee -a "$OUT"
 done
 echo "ALL_BENCHES_DONE" | tee -a "$OUT"

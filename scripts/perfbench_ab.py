@@ -6,9 +6,9 @@ change checkout, one workload over a seed range, swapping which side runs
 first in each pair. Every result line is appended to a JSONL file. For each
 end-to-end metric that BENCHMARK.json declares, prints one markdown table
 row: each side's median and quartiles, the pairs the change won (ties count
-for neither), the median of the per-pair change/parent ratios and whether
-it stays inside the metric's bound. Then prints `correct` and the failed
-request counts.
+for neither), the median of the per-pair change/parent ratios, whether it
+stays inside the metric's bound, and the verdict (see `verdict`). Then
+prints `correct` and the failed request counts.
 
     python3 scripts/perfbench_ab.py --parent ../parent --change . \\
         --workload adapt --seeds 101-110 --out ab.jsonl
@@ -72,6 +72,32 @@ def fmt(v):
     return f"{v:.4g}"
 
 
+def verdict(par, chg, won, better, bound):
+    """The metric's verdict, from each side's runs and the pairs won.
+
+    REGRESSED: the change median is worse than the parent median by more
+    than the bound. unresolved: the parent's interquartile range exceeds
+    bound x its median, unless every change run beats every parent run.
+    gain: the change won at least 9/10 of the pairs and its median beats
+    the parent's by more than the parent's interquartile range. Otherwise
+    no change.
+    """
+    pm, pq1, pq3 = quartiles(par)
+    cm = quartiles(chg)[0]
+    iqr = pq3 - pq1
+    # Signed improvement: positive when the change reads better.
+    gained = pm - cm if better == "lower" else cm - pm
+    if -gained > bound * abs(pm):
+        return "REGRESSED"
+    every_run_better = (max(chg) < min(par) if better == "lower"
+                        else min(chg) > max(par))
+    if iqr > bound * abs(pm) and not every_run_better:
+        return "unresolved"
+    if 10 * won >= 9 * len(par) and gained > iqr:
+        return "gain"
+    return "no change"
+
+
 def report(records, metrics, workload, seeds):
     """Prints the A/B table for the records of `workload` on `seeds`."""
     runs = {}  # (side, seed) -> result; a later run of a seed replaces it
@@ -81,8 +107,8 @@ def report(records, metrics, workload, seeds):
     pairs = [s for s in seeds if ("parent", s) in runs and ("change", s) in runs]
     print(f"\n{workload}: {len(pairs)} pairs, seeds {pairs}\n")
     print("| metric | parent median [Q1, Q3] | change median [Q1, Q3] "
-          "| change won | median ratio | inside bound |")
-    print("|---|---|---|---|---|---|")
+          "| change won | median ratio | inside bound | verdict |")
+    print("|---|---|---|---|---|---|---|")
     for m in metrics:
         name, better, bound = m["name"], m["better"], m["bound"]
         par, chg, ratios, won = [], [], [], 0
@@ -99,7 +125,7 @@ def report(records, metrics, workload, seeds):
             if (b < a) if better == "lower" else (b > a):
                 won += 1
         if not par:
-            print(f"| {name} | - | - | - | - | - |")
+            print(f"| {name} | - | - | - | - | - | - |")
             continue
         pm, pq1, pq3 = quartiles(par)
         cm, cq1, cq3 = quartiles(chg)
@@ -108,7 +134,7 @@ def report(records, metrics, workload, seeds):
         print(f"| {name} | {fmt(pm)} [{fmt(pq1)}, {fmt(pq3)}] "
               f"| {fmt(cm)} [{fmt(cq1)}, {fmt(cq3)}] | {won}/{len(par)} "
               f"| {ratio:.3f} | {'yes' if inside else 'NO'} "
-              f"(±{bound:g}) |")
+              f"(±{bound:g}) | {verdict(par, chg, won, better, bound)} |")
     for side in ("parent", "change"):
         results = [runs[(side, s)] for s in pairs]
         correct = sum(1 for r in results if r.get("correct") is True)

@@ -88,7 +88,7 @@ enum class ServedQuality : int {
   kFull = 0,            ///< full reverse-diffusion pass at configured steps
   kReducedSteps = 1,    ///< DDIM pass with fewer steps (deadline pressure)
   kCachedNeighbor = 2,  ///< PiT borrowed from a neighboring ToD bucket
-  kFallback = 3,        ///< cheap fallback estimator (or prior mean); no PiT
+  kFallback = 3,        ///< prior_mean_minutes(); no PiT
 };
 
 /// Short name for logs/metric labels ("full", "reduced_steps", ...).

@@ -44,8 +44,8 @@ int64_t OracleService::BucketOf(const OdtInput& odt) const {
   const Grid& grid = oracle_->grid();
   int64_t o = grid.CellIndex(grid.Locate(odt.origin));
   int64_t d = grid.CellIndex(grid.Locate(odt.destination));
-  int64_t slot = SecondsOfDay(odt.departure_time) * config_.tod_slots / 86400;
-  return (o * grid.num_cells() + d) * config_.tod_slots + slot;
+  int64_t slot = SecondsOfDay(odt.departure_time) * kTodSlots / 86400;
+  return (o * grid.num_cells() + d) * kTodSlots + slot;
 }
 
 void OracleService::Touch(
@@ -163,11 +163,11 @@ void OracleService::InferWithRetry(const std::vector<OdtInput>& odts,
 }
 
 bool OracleService::LookupNeighborLocked(int64_t bucket, Pit* pit) {
-  int64_t slot = bucket % config_.tod_slots;
-  int64_t od = bucket / config_.tod_slots;
+  int64_t slot = bucket % kTodSlots;
+  int64_t od = bucket / kTodSlots;
   for (int64_t step : {-1, +1}) {
-    int64_t s = (slot + step + config_.tod_slots) % config_.tod_slots;
-    auto it = cache_.find(od * config_.tod_slots + s);
+    int64_t s = (slot + step + kTodSlots) % kTodSlots;
+    auto it = cache_.find(od * kTodSlots + s);
     if (it != cache_.end()) {
       Touch(it);
       *pit = it->second.pit;
@@ -238,11 +238,6 @@ OracleService::MissServe OracleService::ServeMisses(
   return out;
 }
 
-double OracleService::FallbackMinutes(const OdtInput& odt) const {
-  return config_.fallback_estimator ? config_.fallback_estimator(odt)
-                                    : oracle_->prior_mean_minutes();
-}
-
 void OracleService::RecordQuality(ServedQuality q) {
   switch (q) {
     case ServedQuality::kFull:
@@ -296,7 +291,6 @@ Status OracleService::QueryWaves(const std::vector<ServiceWave*>& waves,
 
 Status OracleService::RunWaves(const std::vector<ServiceWave*>& waves,
                                const QueryOptions& opts, bool sample_misses) {
-  if (opts.stage1_failed != nullptr) *opts.stage1_failed = false;
   for (ServiceWave* w : waves) {
     DOT_CHECK(w->positions.size() == w->odts.size())
         << "positions must parallel odts";
@@ -379,13 +373,12 @@ Status OracleService::RunWaves(const std::vector<ServiceWave*>& waves,
   // cache could have prevented.
   std::vector<size_t> slot(n, 0);
   std::vector<OdtInput> miss_odts;
-  std::map<std::pair<int64_t, int64_t>, size_t> slot_of;  // (tod_slots, bucket)
+  std::map<int64_t, size_t> slot_of;  // bucket -> miss slot
   std::vector<int64_t> misses(waves.size(), 0), dedup(waves.size(), 0);
   for (size_t m = 0; m < n; ++m) {
     if (hit[m]) continue;
     size_t w = order[m].first;
-    auto [it, first] = slot_of.try_emplace(
-        {waves[w]->service->config_.tod_slots, buckets[m]}, miss_odts.size());
+    auto [it, first] = slot_of.try_emplace(buckets[m], miss_odts.size());
     if (first) miss_odts.push_back(*odt[m]);
     if (sample_misses) ++(first ? misses[w] : dedup[w]);
     slot[m] = it->second;
@@ -429,7 +422,7 @@ Status OracleService::RunWaves(const std::vector<ServiceWave*>& waves,
       }
     }
     // Ladder tail for the samples stage 1 skipped or failed: a cached PiT
-    // from a neighboring time-of-day bucket, else the fallback estimate.
+    // from a neighboring time-of-day bucket, else the prior mean.
     for (size_t m : member[w]) {
       if (quality[m] == ServedQuality::kFallback &&
           svc->LookupNeighborLocked(buckets[m], &pits[m])) {
@@ -471,13 +464,10 @@ Status OracleService::RunWaves(const std::vector<ServiceWave*>& waves,
     for (size_t m : member[w]) {
       svc->RecordQuality(quality[m]);
       double est = quality[m] == ServedQuality::kFallback
-                       ? svc->FallbackMinutes(*odt[m])
+                       ? svc->oracle_->prior_mean_minutes()
                        : minutes[m];
       waves[w]->estimates[order[m].second] =
           DotEstimate{est, std::move(pits[m]), quality[m]};
-    }
-    if (opts.stage1_failed != nullptr && waves[w]->stage1_failed) {
-      *opts.stage1_failed = true;
     }
     svc->metrics_.batch_latency_us->Observe(sw.ElapsedSeconds() * 1e6);
   }

@@ -22,15 +22,15 @@
 // Fault tolerance (DESIGN.md §5d): queries carry an optional deadline, and
 // a miss that cannot afford (or repeatedly fails) the full reverse-
 // diffusion pass degrades down a ladder — fewer DDIM steps, then a PiT
-// borrowed from a neighboring time-of-day bucket, then a cheap fallback
-// estimate — so a wave never fails wholesale because stage 1 did. Every
-// estimate is tagged with the ServedQuality level that produced it.
+// borrowed from a neighboring time-of-day bucket, then the oracle's
+// training-mean travel time — so a wave never fails wholesale because
+// stage 1 did. Every estimate is tagged with the ServedQuality level that
+// produced it.
 
 #ifndef DOT_CORE_ORACLE_SERVICE_H_
 #define DOT_CORE_ORACLE_SERVICE_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -42,10 +42,11 @@
 
 namespace dot {
 
+/// Time-of-day slots per day in the cache key (30-minute bins).
+constexpr int64_t kTodSlots = 48;
+
 /// \brief Caching and fault-tolerance configuration.
 struct OracleServiceConfig {
-  /// Time-of-day slots per day used in the cache key (48 = 30-minute bins).
-  int64_t tod_slots = 48;
   /// Maximum cached buckets; the least-recently-used bucket is evicted when
   /// an insert would exceed this.
   int64_t max_entries = 200000;
@@ -59,9 +60,6 @@ struct OracleServiceConfig {
   /// break up. Retries that cannot fit their backoff inside the deadline
   /// are skipped.
   int64_t retry_backoff_ms = 1;
-  /// Estimate of last resort (kFallback). When unset, the oracle's stage-2
-  /// training-mean travel time is served.
-  std::function<double(const OdtInput&)> fallback_estimator;
 };
 
 /// \brief Per-call stage wall times, filled when QueryOptions::timing is
@@ -82,12 +80,6 @@ struct QueryOptions {
   /// When set, Query/QueryBatch write their stage wall times here (output
   /// parameter; must outlive the call).
   StageTiming* timing = nullptr;
-  /// When set, receives true iff stage-1 inference *failed* during the call
-  /// (retries exhausted / NaN-poisoned sampler), false otherwise. Deadline-
-  /// driven degradations do NOT count — they are the service working as
-  /// intended, not the model failing. The shard health machinery keys its
-  /// consecutive-failure quarantine off this signal.
-  bool* stage1_failed = nullptr;
 };
 
 /// \brief Query statistics of an OracleService.
@@ -126,8 +118,11 @@ struct ServiceWave {
   /// One per query, in `odts` order; an invalid query's entry carries its
   /// validation error in DotEstimate::status.
   std::vector<DotEstimate> estimates;
-  /// Stage 1 failed for a sample one of this slice's queries needed (see
-  /// QueryOptions::stage1_failed); other slices' failures do not count.
+  /// Stage-1 inference failed (retries exhausted, NaN-poisoned sampler)
+  /// for a sample one of this slice's queries needed; other slices'
+  /// failures do not count. Deadline-driven degradations do not count
+  /// either: they are the service working as intended, not the model
+  /// failing. The shard health machinery keys its quarantine off this.
   bool stage1_failed = false;
   int64_t cache_hits = 0;  ///< queries answered from a pre-existing entry
 };
@@ -173,12 +168,11 @@ class OracleService {
   /// serves its own ladder tail. The replicas must have equal
   /// DotOracle::ModelDigest(): both passes run on the first slice's
   /// replica, under its oracle lock. `opts.timing` receives the pass
-  /// times, `opts.stage1_failed` the OR over slices. Each query is
-  /// validated on its own: an invalid one gets ValidateQuery's status in
-  /// its DotEstimate and takes no part in the wave — no cache lookup or
-  /// entry, no pass, no counter. The returned Status is for whole-wave
-  /// failures (an untrained oracle). Every other entry point runs this
-  /// body.
+  /// times. Each query is validated on its own: an invalid one gets
+  /// ValidateQuery's status in its DotEstimate and takes no part in the
+  /// wave — no cache lookup or entry, no pass, no counter. The returned
+  /// Status is for whole-wave failures (an untrained oracle). Every other
+  /// entry point runs this body.
   static Status QueryWaves(const std::vector<ServiceWave*>& waves,
                            const QueryOptions& opts = {});
 
@@ -214,7 +208,7 @@ class OracleService {
     std::vector<ServedQuality> quality;
     /// Stage 1 was attempted for the miss and failed (retries exhausted,
     /// non-finite sample). Not set by deadline-driven skips. Feeds
-    /// QueryOptions::stage1_failed.
+    /// ServiceWave::stage1_failed.
     std::vector<char> failed;
   };
 
@@ -258,8 +252,6 @@ class OracleService {
   MissServe ServeMisses(const std::vector<OdtInput>& miss_odts,
                         const QueryOptions& opts, const Stopwatch& sw,
                         bool sample);
-  /// The estimate of last resort (kFallback).
-  double FallbackMinutes(const OdtInput& odt) const;
   /// Bumps the per-level degradation counter (no-op for kFull).
   void RecordQuality(ServedQuality q);
 

@@ -112,10 +112,12 @@ void OracleShard::OnDispatchFailure() {
     // Failed probe: the shard stays quarantined and the next probe waits
     // twice as long (capped) — a dead shard costs O(log) probes, not a
     // probe per wave.
+    ++stats_.probes;
+    metrics_.probes->Increment();
     probe_backoff_ms_ =
         std::min(probe_backoff_ms_ * 2, config_.probe_backoff_max_ms);
     next_probe_ms_ = NowMs() + probe_backoff_ms_;
-  } else if (consecutive_failures_ >= config_.quarantine_after_failures) {
+  } else if (consecutive_failures_ >= kQuarantineAfterFailures) {
     SetHealthLocked(ShardHealth::kQuarantined);
     ++stats_.quarantines;
     metrics_.quarantines->Increment();
@@ -131,6 +133,8 @@ void OracleShard::OnDispatchSuccess() {
   consecutive_failures_ = 0;
   if (health_ == ShardHealth::kQuarantined) {
     // Successful probe: full recovery.
+    ++stats_.probes;
+    metrics_.probes->Increment();
     SetHealthLocked(ShardHealth::kHealthy);
     probe_backoff_ms_ = 0;
     next_probe_ms_ = 0;
@@ -160,21 +164,15 @@ Status OracleShard::BeginWave(ServiceWave* wave, Pending* p) {
   wave->service = p->rt->service.get();
   metrics_.waves->Increment();
 
-  bool probe = false;
+  // A quarantined shard whose probe is due serves this wave as the
+  // recovery probe; the probe is counted where it concludes.
   bool ladder_only = false;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     ++stats_.waves;
-    if (health_ == ShardHealth::kQuarantined) {
-      if (NowMs() >= next_probe_ms_) {
-        probe = true;  // this wave doubles as the recovery probe
-        ++stats_.probes;
-      } else {
-        ladder_only = true;
-      }
-    }
+    ladder_only =
+        health_ == ShardHealth::kQuarantined && NowMs() < next_probe_ms_;
   }
-  if (probe) metrics_.probes->Increment();
 
   if (!ladder_only) {
     // Chaos hook: fires before the model dispatch. The global point first;
@@ -213,32 +211,43 @@ Status OracleShard::BeginWave(ServiceWave* wave, Pending* p) {
 
 void OracleShard::FinishWave(const ServiceWave& wave, double wave_us) {
   RecordWaveMetrics(wave.estimates, wave.cache_hits);
-  // A share holding only invalid queries reached no model, so it says
-  // nothing about the shard's health: a due probe stays due.
-  if (std::none_of(wave.estimates.begin(), wave.estimates.end(),
-                   [](const DotEstimate& e) { return e.status.ok(); })) {
-    return;
+  // Valid answers at kFull or kReducedSteps beyond the cache hits came
+  // from a sample drawn in this wave: the only evidence that stage 1
+  // works.
+  int64_t valid = 0;
+  int64_t sampled = -wave.cache_hits;
+  for (const DotEstimate& e : wave.estimates) {
+    if (!e.status.ok()) continue;
+    ++valid;
+    if (e.quality == ServedQuality::kFull ||
+        e.quality == ServedQuality::kReducedSteps) {
+      ++sampled;
+    }
   }
-  window_.Observe(wave_us);
+  // A share holding only invalid queries reached no model.
+  if (valid > 0) window_.Observe(wave_us);
   if (wave.stage1_failed) {
     OnDispatchFailure();
-  } else {
-    OnDispatchSuccess();
-    // Ring of the most recently served ODs: a swap's canary warm should
-    // cover the *current* hot set, not whatever was hot at startup. An
-    // invalid query was never served, so it cannot warm a shadow model.
-    std::lock_guard<std::mutex> lock(state_mu_);
-    for (size_t i = 0; i < wave.odts.size(); ++i) {
-      if (config_.canary_capacity <= 0) break;
-      if (!wave.estimates[i].status.ok()) continue;
-      const OdtInput& odt = wave.odts[i];
-      if (static_cast<int64_t>(canary_.size()) < config_.canary_capacity) {
-        canary_.push_back(odt);
-      } else {
-        canary_[canary_next_ % canary_.size()] = odt;
-      }
-      ++canary_next_;
+    return;
+  }
+  // Without a sample (all hits, every miss skipped by deadline triage, or
+  // only invalid queries) the wave says nothing about stage 1: the failure
+  // streak, the health and a due probe stay as they were.
+  if (sampled > 0) OnDispatchSuccess();
+  // Ring of the most recently served ODs: a swap's canary warm should
+  // cover the *current* hot set, not whatever was hot at startup. An
+  // invalid query was never served, so it cannot warm a shadow model.
+  std::lock_guard<std::mutex> lock(state_mu_);
+  for (size_t i = 0; i < wave.odts.size(); ++i) {
+    if (config_.canary_capacity <= 0) break;
+    if (!wave.estimates[i].status.ok()) continue;
+    const OdtInput& odt = wave.odts[i];
+    if (static_cast<int64_t>(canary_.size()) < config_.canary_capacity) {
+      canary_.push_back(odt);
+    } else {
+      canary_[canary_next_ % canary_.size()] = odt;
     }
+    ++canary_next_;
   }
 }
 
@@ -272,7 +281,6 @@ Status OracleShard::ServeWaves(std::vector<ShardWave>* waves,
     StageTiming timing;
     QueryOptions group_opts = opts;
     group_opts.timing = &timing;
-    group_opts.stage1_failed = nullptr;
     Stopwatch sw;
     DOT_RETURN_NOT_OK(OracleService::QueryWaves(group, group_opts));
     for (size_t j : members) pass_us[j] = sw.ElapsedSeconds() * 1e6;
@@ -280,15 +288,12 @@ Status OracleShard::ServeWaves(std::vector<ShardWave>* waves,
     total.stage2_us += timing.stage2_us;
   }
 
-  bool stage1_failed = false;
   for (size_t i = 0; i < n; ++i) {
     if (!pending[i].dispatched) continue;
     ShardWave& w = (*waves)[i];
     w.shard->FinishWave(w.wave, pending[i].gate_us + pass_us[i]);
-    stage1_failed = stage1_failed || w.wave.stage1_failed;
   }
   if (opts.timing != nullptr) *opts.timing = total;
-  if (opts.stage1_failed != nullptr) *opts.stage1_failed = stage1_failed;
   return Status::OK();
 }
 
@@ -322,16 +327,19 @@ Status OracleShard::HotSwap() {
     canary = canary_;
   }
   if (!canary.empty()) {
-    bool stage1_failed = false;
-    QueryOptions copts;
-    copts.stage1_failed = &stage1_failed;
     Result<std::vector<DotEstimate>> warm =
-        (*shadow)->service->QueryBatch(canary, copts);
+        (*shadow)->service->QueryBatch(canary);
     if (!warm.ok()) {
       return Status::Internal("hot swap: canary batch failed: " +
                               warm.status().message());
     }
-    if (stage1_failed) {
+    // With no deadline, triage skips nothing: an answer from the ladder
+    // tail means stage 1 failed its sample.
+    if (std::any_of(warm->begin(), warm->end(), [](const DotEstimate& e) {
+          return e.status.ok() &&
+                 (e.quality == ServedQuality::kCachedNeighbor ||
+                  e.quality == ServedQuality::kFallback);
+        })) {
       return Status::Internal(
           "hot swap: canary stage-1 inference failed; keeping the current "
           "model");

@@ -26,15 +26,20 @@
 //     does not change the state.
 //   - A stage-1 failure (retries exhausted, NaN-poisoned sampler — NOT a
 //     deadline-driven degradation) bumps a consecutive-failure counter;
-//     at quarantine_after_failures the shard is quarantined.
-//   - Quarantined shards answer every wave through the PR 3 degradation
+//     at kQuarantineAfterFailures the shard is quarantined. Only a wave
+//     that drew a stage-1 sample for the shard resets the counter: a wave
+//     answered from cache hits alone, or whose misses deadline triage all
+//     skipped, leaves the counter, the health and the probe schedule as
+//     they were.
+//   - Quarantined shards answer every wave through the degradation
 //     ladder without touching stage 1 (OracleService::QueryDegraded):
-//     exact cached bucket, neighboring time-of-day bucket, fallback
-//     estimate — tagged with ServedQuality so clients can tell. No wave is
+//     exact cached bucket, neighboring time-of-day bucket, the training
+//     mean — tagged with ServedQuality so clients can tell. No wave is
 //     ever dropped.
 //   - Once the probe backoff elapses, the next wave for the shard is the
 //     probe: it runs the full path, and success flips the shard healthy
-//     while failure doubles the backoff.
+//     while failure doubles the backoff. A probe wave that draws no sample
+//     proves nothing, so the probe stays due and is not counted.
 //
 // Zero-downtime hot swap: HotSwap() builds a shadow model via the shard's
 // ModelFactory (normally a sealed-checkpoint load), warms it with a canary
@@ -77,6 +82,9 @@ enum class ShardHealth : int {
 /// Short lowercase name ("healthy", "quarantined").
 const char* ShardHealthName(ShardHealth h);
 
+/// Consecutive stage-1 failures before a shard is quarantined.
+constexpr int64_t kQuarantineAfterFailures = 3;
+
 /// Builds a fresh trained model replica for a shard — normally by loading
 /// a sealed checkpoint. Called at shard creation and again on every
 /// HotSwap() (the swap's shadow model).
@@ -84,12 +92,9 @@ using ModelFactory = std::function<Result<std::unique_ptr<DotOracle>>()>;
 
 /// \brief Per-shard configuration.
 struct ShardConfig {
-  /// Stable identifier: the ring position key, the metric label, and the
-  /// per-shard failpoint suffix (`serve.shard_dispatch.<id>`).
+  /// Stable identifier: the metric label and the per-shard failpoint
+  /// suffix (`serve.shard_dispatch.<id>`).
   std::string shard_id;
-
-  /// Consecutive stage-1 failures before the shard is quarantined.
-  int64_t quarantine_after_failures = 3;
 
   /// First probe is scheduled this long after quarantine...
   double probe_backoff_initial_ms = 200;
@@ -122,7 +127,9 @@ struct ShardStatus {
   int64_t queries = 0;
   int64_t failures = 0;     ///< stage-1/dispatch failures observed
   int64_t quarantines = 0;  ///< healthy->quarantined transitions
-  int64_t probes = 0;       ///< probe waves attempted while quarantined
+  /// Probes concluded while quarantined: a gate failure, or a stage-1
+  /// failure or success.
+  int64_t probes = 0;
   int64_t swaps = 0;        ///< completed hot swaps
   int64_t cache_size = 0;
   double window_p95_us = 0;
@@ -157,8 +164,7 @@ class OracleShard {
   /// failures and quarantine serve degraded-tagged answers through the
   /// ladder. An invalid query gets its own error in its estimate's status
   /// and counts nowhere; only an untrained model fails the whole wave.
-  /// `opts.timing` receives the summed pass times, `opts.stage1_failed`
-  /// the OR over shards.
+  /// `opts.timing` receives the summed pass times.
   static Status ServeWaves(std::vector<ShardWave>* waves,
                            const QueryOptions& opts);
 
@@ -218,10 +224,13 @@ class OracleShard {
   Status BeginWave(ServiceWave* wave, Pending* p);
   /// The phase after a dispatched share was served: the wave metrics,
   /// then (unless every query of the share was invalid) the p95 window,
-  /// the health bookkeeping and the canary ring.
+  /// the health bookkeeping and the canary ring. Health moves only on
+  /// stage-1 evidence: a failure, or a valid answer from a sample drawn in
+  /// this wave.
   void FinishWave(const ServiceWave& wave, double wave_us);
 
-  /// Health bookkeeping after a full-path wave. Caller holds serve_mu_.
+  /// Health bookkeeping after a full-path wave; while quarantined each
+  /// call concludes a probe. Caller holds serve_mu_.
   void OnDispatchFailure();
   void OnDispatchSuccess();
   void SetHealthLocked(ShardHealth h);  // caller holds state_mu_

@@ -15,6 +15,10 @@ namespace serve {
 
 namespace {
 
+// Base seed of the per-round trip simulation (the round index is mixed in
+// so successive rounds see fresh trajectories).
+constexpr uint64_t kTripSeed = 99;
+
 std::string Num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f", v);
@@ -86,7 +90,7 @@ Result<AdaptRound> AdaptationManager::RunRound(
        chunk < 5 && static_cast<int64_t>(window_samples.size()) < want;
        ++chunk) {
     tc.num_trips = want;
-    TripGenerator gen(city_, config_.seed +
+    TripGenerator gen(city_, kTripSeed +
                                  static_cast<uint64_t>(round.round) * 131 +
                                  static_cast<uint64_t>(chunk) * 7919);
     std::vector<TripSample> samples = ToSamples(gen.Generate(tc), filter);

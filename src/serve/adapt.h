@@ -34,9 +34,6 @@ struct AdaptConfig {
   int64_t fresh_trips = 200;
   /// Additional held-out incident trips scoring the before/after MAE.
   int64_t holdout_trips = 60;
-  /// Base seed of the per-round trip simulation (round index is mixed in
-  /// so successive rounds see fresh trajectories).
-  uint64_t seed = 99;
 };
 
 /// \brief Outcome of one adaptation round (one JSON object in /adaptz).

@@ -59,13 +59,13 @@ DynamicBatcher::~DynamicBatcher() { Shutdown(); }
 
 Status DynamicBatcher::Submit(const OdtInput& odt, double deadline_ms,
                               ResponseCallback done) {
-  return Submit(odt, deadline_ms, RequestContext{},
+  return Submit(odt, deadline_ms, /*root_span=*/0,
                 [done = std::move(done)](const Result<DotEstimate>& r,
-                                         const RequestTiming&) { done(r); });
+                                         const TimingBreakdown&) { done(r); });
 }
 
 Status DynamicBatcher::Submit(const OdtInput& odt, double deadline_ms,
-                              RequestContext ctx, TimedResponseCallback done) {
+                              uint64_t root_span, TimedResponseCallback done) {
   // Refuse malformed outside input before it takes a queue slot.
   DOT_RETURN_NOT_OK(CheckQueryFields(odt));
   std::lock_guard<std::mutex> lock(mu_);
@@ -89,10 +89,10 @@ Status DynamicBatcher::Submit(const OdtInput& odt, double deadline_ms,
     metrics_.rejected_stale->Increment();
     return Status::ResourceExhausted("server overloaded: queue stale");
   }
-  Pending p{odt, deadline_ms, now, ctx, 0, std::move(done)};
+  Pending p{odt, deadline_ms, now, root_span, 0, std::move(done)};
   // Only a traced request (root_span set at decode, implying tracing was
   // on) pays the trace-clock read; the plain hot path stays clock-free.
-  if (ctx.root_span != 0) p.enqueue_trace_us = obs::TraceNowUs();
+  if (root_span != 0) p.enqueue_trace_us = obs::TraceNowUs();
   queue_.push_back(std::move(p));
   ++stats_.submitted;
   metrics_.queue_depth->Observe(static_cast<double>(queue_.size()));
@@ -106,21 +106,19 @@ int64_t DynamicBatcher::FlushWaveLocked(std::unique_lock<std::mutex>* lock,
                               static_cast<size_t>(config_.max_batch));
   if (n == 0) return 0;
   double now = Now();
+  // The wave's members, popped; only the queries are copied out, because
+  // the backend takes them as one vector.
+  std::vector<Pending> wave;
   std::vector<OdtInput> odts;
-  std::vector<TimedResponseCallback> callbacks;
-  std::vector<double> queue_us;
-  std::vector<RequestContext> ctxs;
-  std::vector<int64_t> enqueue_trace_us;
+  wave.reserve(n);
   odts.reserve(n);
-  callbacks.reserve(n);
-  queue_us.reserve(n);
-  ctxs.reserve(n);
-  enqueue_trace_us.reserve(n);
   // The wave honors the earliest remaining deadline of its members: the
   // most urgent request dictates how much the whole wave may degrade.
   double earliest = 0;
   for (size_t i = 0; i < n; ++i) {
-    Pending& p = queue_.front();
+    wave.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+    const Pending& p = wave.back();
     double waited_ms = now - p.enqueue_ms;
     metrics_.queue_wait_us->Observe(waited_ms * 1e3);
     if (p.deadline_ms > 0) {
@@ -130,11 +128,6 @@ int64_t DynamicBatcher::FlushWaveLocked(std::unique_lock<std::mutex>* lock,
       earliest = earliest == 0 ? remaining : std::min(earliest, remaining);
     }
     odts.push_back(p.odt);
-    callbacks.push_back(std::move(p.done));
-    queue_us.push_back(waited_ms * 1e3);
-    ctxs.push_back(p.ctx);
-    enqueue_trace_us.push_back(p.enqueue_trace_us);
-    queue_.pop_front();
   }
   ++stats_.waves;
   switch (reason) {
@@ -161,12 +154,11 @@ int64_t DynamicBatcher::FlushWaveLocked(std::unique_lock<std::mutex>* lock,
   uint64_t owner_root = 0;
   if (obs::TracingEnabled()) {
     int64_t now_trace_us = obs::TraceNowUs();
-    for (size_t i = 0; i < n; ++i) {
-      if (ctxs[i].root_span == 0) continue;
-      if (owner_root == 0) owner_root = ctxs[i].root_span;
-      obs::RecordSpan("queue_wait", obs::NewSpanId(), ctxs[i].root_span,
-                      enqueue_trace_us[i],
-                      now_trace_us - enqueue_trace_us[i]);
+    for (const Pending& p : wave) {
+      if (p.root_span == 0) continue;
+      if (owner_root == 0) owner_root = p.root_span;
+      obs::RecordSpan("queue_wait", obs::NewSpanId(), p.root_span,
+                      p.enqueue_trace_us, now_trace_us - p.enqueue_trace_us);
     }
   }
 
@@ -196,21 +188,21 @@ int64_t DynamicBatcher::FlushWaveLocked(std::unique_lock<std::mutex>* lock,
                               " answers for a wave of " +
                               std::to_string(odts.size()));
   }
-  RequestTiming timing;
+  TimingBreakdown timing;
   timing.stage1_us = stage_timing.stage1_us;
   timing.stage2_us = stage_timing.stage2_us;
   timing.batch_wait_us =
       std::max(0.0, wave_us - stage_timing.stage1_us - stage_timing.stage2_us);
-  for (size_t i = 0; i < callbacks.size(); ++i) {
-    timing.queue_us = queue_us[i];
+  for (size_t i = 0; i < n; ++i) {
+    timing.queue_us = (now - wave[i].enqueue_ms) * 1e3;
     // A member's own error (invalid input) is its answer; a whole-wave
     // error answers every member.
     if (!result.ok()) {
-      callbacks[i](Result<DotEstimate>(result.status()), timing);
+      wave[i].done(Result<DotEstimate>(result.status()), timing);
     } else if (!(*result)[i].status.ok()) {
-      callbacks[i](Result<DotEstimate>((*result)[i].status), timing);
+      wave[i].done(Result<DotEstimate>((*result)[i].status), timing);
     } else {
-      callbacks[i](Result<DotEstimate>((*result)[i]), timing);
+      wave[i].done(Result<DotEstimate>((*result)[i]), timing);
     }
   }
 

@@ -58,6 +58,7 @@
 
 #include "core/oracle_service.h"
 #include "obs/metrics.h"
+#include "serve/protocol.h"
 
 namespace dot {
 namespace serve {
@@ -74,28 +75,11 @@ using BatchBackend = std::function<Result<std::vector<DotEstimate>>(
 /// PumpOnce/Shutdown).
 using ResponseCallback = std::function<void(const Result<DotEstimate>&)>;
 
-/// \brief Wire trace context a request carries through the batcher.
-struct RequestContext {
-  uint64_t trace_id = 0;  ///< client-generated wire id (0 = none)
-  /// Span id of the request's root span in the active obs recording
-  /// (0 = untraced). When set, the batcher records a queue_wait span under
-  /// it and parents the wave's backend spans to the first traced member.
-  uint64_t root_span = 0;
-  bool want_timing = false;  ///< client asked for the response breakdown
-};
-
-/// \brief Server-side latency segments measured by the batcher per wave
-/// member (serialize_us is added later by the server's response path).
-struct RequestTiming {
-  double queue_us = 0;       ///< this member's wait before wave formation
-  double batch_wait_us = 0;  ///< wave wall time outside stage 1/2
-  double stage1_us = 0;      ///< wave's miss-serve time (shared)
-  double stage2_us = 0;      ///< wave's estimator time (shared)
-};
-
 /// Timing-aware completion callback (same contract as ResponseCallback).
+/// The breakdown holds the member's own queue wait and its wave's shared
+/// batch-wait and stage times.
 using TimedResponseCallback =
-    std::function<void(const Result<DotEstimate>&, const RequestTiming&)>;
+    std::function<void(const Result<DotEstimate>&, const TimingBreakdown&)>;
 
 struct BatcherConfig {
   /// Size trigger: a wave never exceeds this many queries.
@@ -147,9 +131,12 @@ class DynamicBatcher {
   /// none).
   Status Submit(const OdtInput& odt, double deadline_ms, ResponseCallback done);
 
-  /// As above, carrying a trace context and receiving the per-request
-  /// timing breakdown alongside the result.
-  Status Submit(const OdtInput& odt, double deadline_ms, RequestContext ctx,
+  /// As above, receiving the per-request timing breakdown alongside the
+  /// result. `root_span` is the span id of the request's root span in the
+  /// active obs recording (0 = untraced). When set, the batcher records a
+  /// queue_wait span under it and parents the wave's backend spans to the
+  /// first traced member.
+  Status Submit(const OdtInput& odt, double deadline_ms, uint64_t root_span,
                 TimedResponseCallback done);
 
   /// Graceful drain: stops admissions, flushes every queued request, waits
@@ -168,7 +155,7 @@ class DynamicBatcher {
     OdtInput odt;
     double deadline_ms = 0;  // client budget measured from enqueue_ms
     double enqueue_ms = 0;
-    RequestContext ctx;
+    uint64_t root_span = 0;
     int64_t enqueue_trace_us = 0;  // TraceNowUs() at Submit (traced only)
     TimedResponseCallback done;
   };

@@ -17,7 +17,7 @@ namespace {
 // Fixed payload sizes (type byte included). A query response additionally
 // carries a u16-length error message after the fixed part.
 constexpr size_t kQueryRequestSize = 1 + 8 * 7 + 8 + 1;
-constexpr size_t kQueryResponseFixedSize = 1 + 8 + 1 + 1 + 1 + 8 + 8 * 5 + 2;
+constexpr size_t kQueryResponseFixedSize = 1 + 8 + 1 + 1 + 1 + 8 + 8 * 4 + 2;
 constexpr size_t kPingSize = 1 + 8;
 // Response flag bits.
 constexpr uint8_t kResponseFlagBreakdown = 0x1;
@@ -90,7 +90,6 @@ std::vector<uint8_t> EncodePayload(const Message& msg) {
     PutF64(&out, r->breakdown.batch_wait_us);
     PutF64(&out, r->breakdown.stage1_us);
     PutF64(&out, r->breakdown.stage2_us);
-    PutF64(&out, r->breakdown.serialize_us);
     PutU16(&out, static_cast<uint16_t>(msg_len));
     out.insert(out.end(), r->message.begin(), r->message.begin() + msg_len);
   } else if (const auto* ping = std::get_if<Ping>(&msg)) {
@@ -145,8 +144,7 @@ Result<Message> DecodePayload(const std::vector<uint8_t>& payload) {
       r.breakdown.batch_wait_us = GetF64(p + 28);
       r.breakdown.stage1_us = GetF64(p + 36);
       r.breakdown.stage2_us = GetF64(p + 44);
-      r.breakdown.serialize_us = GetF64(p + 52);
-      uint16_t msg_len = GetU16(p + 60);
+      uint16_t msg_len = GetU16(p + 52);
       if (payload.size() != kQueryResponseFixedSize + msg_len) {
         return Status::InvalidArgument(
             "protocol: query response message length mismatch");

@@ -10,8 +10,8 @@
 //                   trace_id, flags byte (kQueryFlagSampled,
 //                   kQueryFlagWantBreakdown) — 66 bytes
 //   kQueryResponse  id, Status code, ServedQuality, flags byte (bit 0:
-//                   has_breakdown), minutes, the five timing-breakdown
-//                   fields, u16-length error message — 62 bytes + message
+//                   has_breakdown), minutes, the four timing-breakdown
+//                   fields, u16-length error message — 54 bytes + message
 //   kPing / kPong   id (liveness probe; the server echoes the id)
 //
 // Decoding is strict — unknown type, wrong payload size, or an error
@@ -53,13 +53,14 @@ constexpr uint8_t kQueryFlagSampled = 0x1;
 constexpr uint8_t kQueryFlagWantBreakdown = 0x2;
 
 /// \brief Server-side latency segments of one request, echoed in the
-/// response when the request set kQueryFlagWantBreakdown.
+/// response when the request set kQueryFlagWantBreakdown. The response
+/// cannot carry its own encode time; the server reports that in the
+/// dot_server_breakdown_serialize_us window and /slowz.
 struct TimingBreakdown {
   double queue_us = 0;       ///< batcher queue wait before wave formation
   double batch_wait_us = 0;  ///< wave wall time outside stage 1/2
   double stage1_us = 0;      ///< diffusion miss-serve (0 on a cache hit)
   double stage2_us = 0;      ///< batched travel-time estimator
-  double serialize_us = 0;   ///< response encode + outbox queueing
 };
 
 /// \brief A travel-time query (OdtInput fields + serving options).

@@ -50,7 +50,7 @@ class ShardRouter {
   /// merges the answers in input order. Per-request semantics match
   /// OracleService::QueryBatch: exactly one answer per input (an invalid
   /// input's carries its error in DotEstimate::status), stage timings
-  /// summed over the shared passes, stage1_failed OR-ed.
+  /// summed over the shared passes.
   Result<std::vector<DotEstimate>> Route(const std::vector<OdtInput>& odts,
                                          const QueryOptions& opts);
 

@@ -190,20 +190,16 @@ bool Server::ReadReady(int64_t conn_id, Conn* conn) {
       root_span = obs::NewSpanId();
       root_start_us = obs::TraceNowUs();
     }
-    RequestContext ctx;
-    ctx.trace_id = trace_id;
-    ctx.root_span = root_span;
-    ctx.want_timing = want_breakdown;
     // The callback runs on the batcher thread after the wave completes;
     // it must not assume the connection still exists. Inflight is raised
     // before Submit because the callback may fire before Submit returns.
     metrics_.inflight->Add(1.0);
     auto start = std::chrono::steady_clock::now();
     Status admitted = batcher_->Submit(
-        odt, query->deadline_ms, ctx,
+        odt, query->deadline_ms, root_span,
         [this, conn_id, id, trace_id, want_breakdown, root_span,
          root_start_us, start](const Result<DotEstimate>& r,
-                               const RequestTiming& timing) {
+                               const TimingBreakdown& timing) {
           QueryResponse resp;
           resp.id = id;
           if (r.ok()) {
@@ -215,13 +211,7 @@ bool Server::ReadReady(int64_t conn_id, Conn* conn) {
           }
           if (want_breakdown) {
             resp.has_breakdown = true;
-            resp.breakdown.queue_us = timing.queue_us;
-            resp.breakdown.batch_wait_us = timing.batch_wait_us;
-            resp.breakdown.stage1_us = timing.stage1_us;
-            resp.breakdown.stage2_us = timing.stage2_us;
-            // The echoed breakdown cannot contain its own encode time; the
-            // serialize segment is observable via the rolling window.
-            resp.breakdown.serialize_us = 0;
+            resp.breakdown = timing;
           }
           double latency_us = std::chrono::duration<double, std::micro>(
                                   std::chrono::steady_clock::now() - start)

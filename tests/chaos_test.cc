@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -94,7 +95,6 @@ class ChaosFixture : public ::testing::Test {
   static ShardConfig FastShardConfig(const std::string& id) {
     ShardConfig cfg;
     cfg.shard_id = id;
-    cfg.quarantine_after_failures = 3;
     cfg.probe_backoff_initial_ms = 10;
     cfg.probe_backoff_max_ms = 100;
     cfg.service.max_retries = 0;
@@ -142,12 +142,31 @@ class ChaosFixture : public ::testing::Test {
   /// Same cache bucket: origin cell, destination cell and time-of-day slot.
   static bool SameBucket(const OdtInput& a, const OdtInput& b) {
     auto slot = [](const OdtInput& q) {
-      return SecondsOfDay(q.departure_time) * OracleServiceConfig().tod_slots /
-             86400;
+      return SecondsOfDay(q.departure_time) * kTodSlots / 86400;
     };
     return grid_->Locate(a.origin) == grid_->Locate(b.origin) &&
            grid_->Locate(a.destination) == grid_->Locate(b.destination) &&
            slot(a) == slot(b);
+  }
+
+  /// `n` test trips from `start` on whose buckets differ from each other
+  /// and from every query of `avoid`: a wave that misses a cache holding
+  /// only `avoid`'s buckets.
+  static std::vector<OdtInput> FreshWave(int start, size_t n,
+                                         const std::vector<OdtInput>& avoid) {
+    std::vector<OdtInput> wave;
+    std::vector<OdtInput> taken = avoid;
+    const auto& trips = dataset_->split.test;
+    for (size_t i = start; i < trips.size() && wave.size() < n; ++i) {
+      const OdtInput& odt = trips[i].odt;
+      if (std::none_of(taken.begin(), taken.end(), [&](const OdtInput& t) {
+            return SameBucket(t, odt);
+          })) {
+        wave.push_back(odt);
+        taken.push_back(odt);
+      }
+    }
+    return wave;
   }
 
   /// A copy of `odt` with its origin moved by up to ~2 km of latitude in
@@ -383,6 +402,78 @@ TEST_F(ChaosFixture, InvalidOnlyWaveLeavesADueProbeDue) {
 
   ExpectAllServed(shard->ServeWave(Wave(4, 2), {}), 2);  // the real probe
   EXPECT_EQ(shard->health(), ShardHealth::kHealthy);
+}
+
+// ---- Health moves only on stage-1 evidence ---------------------------------
+
+TEST_F(ChaosFixture, HitOnlyWavesDoNotResetTheStage1FailureStreak) {
+  auto clock = std::make_shared<double>(0.0);
+  ShardConfig cfg = FastShardConfig("w0");
+  cfg.now_ms = [clock] { return *clock; };
+  std::unique_ptr<OracleShard> shard = MakeShard(std::move(cfg));
+  std::vector<OdtInput> warm = FreshWave(0, 2, {});
+  ExpectAllServed(shard->ServeWave(warm, {}), 2);  // caches both buckets
+  std::vector<OdtInput> fresh = FreshWave(2, 6, warm);
+  ASSERT_EQ(fresh.size(), 6u);
+
+  // Stage 1 is dead. Every fresh wave misses and fails; every warm wave is
+  // answered from the cache and draws no sample, so it proves nothing.
+  fail::Arm("dot_oracle.infer_pits", fail::Action::kError);
+  for (size_t k = 0; k < 3; ++k) {
+    ExpectAllServed(shard->ServeWave({fresh[2 * k], fresh[2 * k + 1]}, {}), 2);
+    Result<std::vector<DotEstimate>> hits = shard->ServeWave(warm, {});
+    ExpectAllServed(hits, 2);
+    for (const DotEstimate& e : *hits) {
+      EXPECT_EQ(e.quality, ServedQuality::kFull);
+    }
+  }
+  ShardStatus st = shard->status();
+  EXPECT_EQ(st.health, ShardHealth::kQuarantined);
+  EXPECT_EQ(st.consecutive_failures, 3);
+  EXPECT_EQ(st.quarantines, 1);
+}
+
+TEST_F(ChaosFixture, HitOnlyProbeLeavesADeadShardQuarantined) {
+  auto clock = std::make_shared<double>(0.0);
+  ShardConfig cfg = FastShardConfig("w1");
+  cfg.now_ms = [clock] { return *clock; };
+  std::unique_ptr<OracleShard> shard = MakeShard(std::move(cfg));
+  std::vector<OdtInput> warm = FreshWave(0, 2, {});
+  ExpectAllServed(shard->ServeWave(warm, {}), 2);  // caches both buckets
+  std::vector<OdtInput> fresh = FreshWave(2, 10, warm);
+  ASSERT_EQ(fresh.size(), 10u);
+  auto fresh_wave = [&](size_t k) {
+    return std::vector<OdtInput>{fresh[2 * k], fresh[2 * k + 1]};
+  };
+
+  fail::Arm("dot_oracle.infer_pits", fail::Action::kError);
+  for (size_t k = 0; k < 3; ++k) {
+    ExpectAllServed(shard->ServeWave(fresh_wave(k), {}), 2);
+  }
+  ASSERT_EQ(shard->health(), ShardHealth::kQuarantined);
+
+  *clock += 10;  // the probe is due
+  ExpectAllServed(shard->ServeWave(warm, {}), 2);
+  // All hits: the probe drew no sample, so it neither recovers the shard
+  // nor counts, and it stays due.
+  ShardStatus st = shard->status();
+  EXPECT_EQ(st.health, ShardHealth::kQuarantined);
+  EXPECT_NEAR(st.next_probe_in_ms, 0, 1e-9);
+  EXPECT_EQ(st.probes, 0);
+
+  ExpectAllServed(shard->ServeWave(fresh_wave(3), {}), 2);  // a failed probe
+  st = shard->status();
+  EXPECT_EQ(st.health, ShardHealth::kQuarantined);
+  EXPECT_EQ(st.probes, 1);
+  EXPECT_NEAR(st.next_probe_in_ms, 20, 1e-9);
+
+  fail::DisarmAll();
+  *clock += 20;  // stage 1 is back: the next probe samples and recovers
+  Result<std::vector<DotEstimate>> r = shard->ServeWave(fresh_wave(4), {});
+  ExpectAllServed(r, 2);
+  for (const DotEstimate& e : *r) EXPECT_EQ(e.quality, ServedQuality::kFull);
+  EXPECT_EQ(shard->health(), ShardHealth::kHealthy);
+  EXPECT_EQ(shard->status().probes, 2);
 }
 
 TEST_F(ChaosFixture, DelayInjectionRaisesWindowP95ThenAgesOut) {
@@ -735,12 +826,8 @@ TEST_F(ChaosFixture, PoisonedSampleFailsOnlyTheShardThatNeededIt) {
   // `nan(1)` poisons batch position 0 of every sampler call, so the retry
   // and the reduced-steps round fail that sample again; the rest are fine.
   fail::Arm("diffusion.sample", fail::Action::kNan, /*count=*/-1, /*arg=*/1);
-  bool failed = false;
-  QueryOptions opts;
-  opts.stage1_failed = &failed;
-  Result<std::vector<DotEstimate>> r = router.Route(wave, opts);
+  Result<std::vector<DotEstimate>> r = router.Route(wave, {});
   ExpectAllServed(r, wave.size());
-  EXPECT_TRUE(failed);
   EXPECT_NE((*r)[0].quality, ServedQuality::kFull);
   for (size_t i = 1; i < wave.size(); ++i) {
     EXPECT_EQ((*r)[i].quality, ServedQuality::kFull) << "query " << i;

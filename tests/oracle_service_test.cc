@@ -124,7 +124,7 @@ TEST_F(OracleServiceFixture, QueryDegradedServesTheLadderWithoutStage1) {
   ASSERT_TRUE(fill.ok());
   ASSERT_EQ((*fill)[0].quality, ServedQuality::kFull);
   OdtInput next_slot = a;
-  next_slot.departure_time += 86400 / OracleServiceConfig{}.tod_slots;
+  next_slot.departure_time += 86400 / kTodSlots;
   OdtInput far_slot = a;
   far_slot.departure_time += 6 * 3600;  // no cached bucket within the radius
 

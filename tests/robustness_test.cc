@@ -154,30 +154,17 @@ TEST_F(RobustnessFixture, TransientFailureIsRetriedToFullQuality) {
   EXPECT_EQ(CounterValue("dot_serving_retries_total"), retries_before + 1);
 }
 
-TEST_F(RobustnessFixture, RetryExhaustionFallsToFallbackEstimator) {
-  OracleServiceConfig cfg = FastRetryConfig();
-  cfg.fallback_estimator = [](const OdtInput&) { return 42.0; };
-  OracleService service(oracle_, cfg);
+TEST_F(RobustnessFixture, RetryExhaustionFallsToPriorMean) {
+  OracleService service(oracle_, FastRetryConfig());
   int64_t retries_before = CounterValue("dot_serving_retries_total");
   fail::Arm("dot_oracle.infer_pits", fail::Action::kError);  // unlimited
   Result<DotEstimate> r = service.Query(dataset_->split.test[2].odt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->quality, ServedQuality::kFallback);
-  EXPECT_DOUBLE_EQ(r->minutes, 42.0);
-  // One retry at full quality, one at reduced: both ladder levels got
-  // their bounded retry budget before the estimator of last resort.
-  EXPECT_EQ(CounterValue("dot_serving_retries_total"), retries_before + 2);
-}
-
-TEST_F(RobustnessFixture, WithoutFallbackEstimatorServesPriorMean) {
-  OracleServiceConfig cfg = FastRetryConfig();
-  cfg.max_retries = 0;
-  OracleService service(oracle_, cfg);
-  fail::Arm("dot_oracle.infer_pits", fail::Action::kError);
-  Result<DotEstimate> r = service.Query(dataset_->split.test[3].odt);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->quality, ServedQuality::kFallback);
   EXPECT_DOUBLE_EQ(r->minutes, oracle_->prior_mean_minutes());
+  // One retry at full quality, one at reduced: both ladder levels got
+  // their bounded retry budget before the estimate of last resort.
+  EXPECT_EQ(CounterValue("dot_serving_retries_total"), retries_before + 2);
 }
 
 TEST_F(RobustnessFixture, NeighborBucketServesWhenStage1IsDown) {
@@ -192,7 +179,7 @@ TEST_F(RobustnessFixture, NeighborBucketServesWhenStage1IsDown) {
   // ...then kill stage 1 and ask for the *next* 30-minute slot.
   fail::Arm("dot_oracle.infer_pits", fail::Action::kError);
   OdtInput shifted = odt;
-  shifted.departure_time += 86400 / cfg.tod_slots;
+  shifted.departure_time += 86400 / kTodSlots;
   Result<DotEstimate> r = service.Query(shifted);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->quality, ServedQuality::kCachedNeighbor);

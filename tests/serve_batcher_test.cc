@@ -10,6 +10,7 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -345,6 +346,47 @@ TEST(BatcherPolicyTest, BackendErrorReachesEveryCallback) {
   }
   EXPECT_EQ(batcher.PumpOnce(/*force=*/true), 3);
   EXPECT_EQ(errors, 3);
+}
+
+TEST(BatcherPolicyTest, CallbacksReceiveTheWaveTimingBreakdown) {
+  FakeClock clock;
+  // The backend reports 1 ms of stage 1 and 0.2 ms of stage 2 and takes
+  // 2 ms of wall time.
+  BatchBackend backend = [&clock](const std::vector<OdtInput>& odts,
+                                  const QueryOptions& opts)
+      -> Result<std::vector<DotEstimate>> {
+    if (opts.timing != nullptr) {
+      opts.timing->stage1_us = 1000;
+      opts.timing->stage2_us = 200;
+    }
+    clock.ms += 2.0;
+    return std::vector<DotEstimate>(odts.size());
+  };
+  DynamicBatcher batcher(backend, ManualConfig(&clock));
+  std::vector<TimingBreakdown> timings;
+  for (double at_ms : {0.0, 1.0, 3.0}) {
+    clock.ms = at_ms;
+    ASSERT_TRUE(batcher
+                    .Submit(MakeOdt(static_cast<int>(at_ms)), 0,
+                            /*root_span=*/0,
+                            [&](const Result<DotEstimate>& r,
+                                const TimingBreakdown& t) {
+                              EXPECT_TRUE(r.ok());
+                              timings.push_back(t);
+                            })
+                    .ok());
+  }
+  EXPECT_EQ(batcher.PumpOnce(/*force=*/true), 3);
+  ASSERT_EQ(timings.size(), 3u);
+  const double queue_us[] = {3000, 2000, 0};
+  for (size_t i = 0; i < timings.size(); ++i) {
+    SCOPED_TRACE("member " + std::to_string(i));
+    EXPECT_DOUBLE_EQ(timings[i].queue_us, queue_us[i]);
+    EXPECT_DOUBLE_EQ(timings[i].stage1_us, 1000);
+    EXPECT_DOUBLE_EQ(timings[i].stage2_us, 200);
+    // The wave's 2 ms less its 1.2 ms of stage time.
+    EXPECT_DOUBLE_EQ(timings[i].batch_wait_us, 800);
+  }
 }
 
 TEST(BatcherPolicyTest, RealThreadFlushesOnAgeWithoutPumping) {

@@ -67,7 +67,7 @@ TEST_F(ProtocolTest, QueryResponseRoundtrip) {
   r.message = "server overloaded: queue full";
   std::vector<uint8_t> payload = EncodePayload(Message{r});
   EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryResponse));
-  EXPECT_EQ(payload.size(), 62u + r.message.size());
+  EXPECT_EQ(payload.size(), 54u + r.message.size());
   Result<Message> decoded = DecodePayload(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   const auto* got = std::get_if<QueryResponse>(&*decoded);
@@ -82,7 +82,6 @@ TEST_F(ProtocolTest, QueryResponseRoundtrip) {
   EXPECT_EQ(got->breakdown.batch_wait_us, 0.0);
   EXPECT_EQ(got->breakdown.stage1_us, 0.0);
   EXPECT_EQ(got->breakdown.stage2_us, 0.0);
-  EXPECT_EQ(got->breakdown.serialize_us, 0.0);
 }
 
 TEST_F(ProtocolTest, EmptyMessageResponseRoundtrip) {
@@ -137,7 +136,7 @@ TEST_F(ProtocolTest, DecodeRejectsGarbage) {
   }
   // Response whose message length overruns the payload.
   std::vector<uint8_t> resp = EncodePayload(Message{r});
-  resp[60] = 200;  // lie about the message length
+  resp[52] = 200;  // lie about the message length
   EXPECT_TRUE(DecodePayload(resp).status().IsInvalidArgument());
 }
 
@@ -318,10 +317,9 @@ TEST_F(ProtocolTest, V2ResponseRoundtripCarriesBreakdown) {
   r.breakdown.batch_wait_us = 310.25;
   r.breakdown.stage1_us = 90000.0;
   r.breakdown.stage2_us = 1500.0;
-  r.breakdown.serialize_us = 12.0;
   std::vector<uint8_t> payload = EncodePayload(Message{r});
   EXPECT_EQ(payload[0], static_cast<uint8_t>(MsgType::kQueryResponse));
-  EXPECT_EQ(payload.size(), 62u + r.message.size());
+  EXPECT_EQ(payload.size(), 54u + r.message.size());
   Result<Message> decoded = DecodePayload(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   const auto* got = std::get_if<QueryResponse>(&*decoded);
@@ -336,7 +334,6 @@ TEST_F(ProtocolTest, V2ResponseRoundtripCarriesBreakdown) {
   EXPECT_EQ(got->breakdown.batch_wait_us, r.breakdown.batch_wait_us);
   EXPECT_EQ(got->breakdown.stage1_us, r.breakdown.stage1_us);
   EXPECT_EQ(got->breakdown.stage2_us, r.breakdown.stage2_us);
-  EXPECT_EQ(got->breakdown.serialize_us, r.breakdown.serialize_us);
 }
 
 TEST_F(ProtocolTest, TruncatedV2RequestIsRejected) {

@@ -90,24 +90,21 @@ TEST(BatcherTraceTest, WaveSpansStitchUnderEveryTracedMemberRoot) {
   // Two traced members (distinct roots) + one untraced member in one wave.
   std::vector<uint64_t> roots = {obs::NewSpanId(), obs::NewSpanId(), 0};
   std::vector<int64_t> starts(3, 0);
-  std::vector<RequestTiming> timings(3);
+  std::vector<TimingBreakdown> timings(3);
   int done = 0;
   for (int i = 0; i < 3; ++i) {
-    RequestContext ctx;
-    ctx.trace_id = 100 + static_cast<uint64_t>(i);
-    ctx.root_span = roots[i];
     starts[i] = obs::TraceNowUs();
     ASSERT_TRUE(batcher
-                    .Submit(MakeOdt(i), 0, ctx,
+                    .Submit(MakeOdt(i), 0, roots[i],
                             [&, i](const Result<DotEstimate>& r,
-                                   const RequestTiming& t) {
+                                   const TimingBreakdown& t) {
                               EXPECT_TRUE(r.ok());
                               timings[i] = t;
                               ++done;
                             })
                     .ok());
   }
-  fake_ms += 3.0;  // queue wait visible in RequestTiming::queue_us
+  fake_ms += 3.0;  // queue wait visible in TimingBreakdown::queue_us
   EXPECT_EQ(batcher.PumpOnce(/*force=*/true), 3);
   EXPECT_EQ(done, 3);
   // Close the per-request roots the way the server does.
@@ -146,7 +143,7 @@ TEST(BatcherTraceTest, WaveSpansStitchUnderEveryTracedMemberRoot) {
         << "orphaned span: " << e.name;
   }
   // Timing plumbing: the stub's stage costs and the fake-clock queue wait
-  // arrive in every member's RequestTiming.
+  // arrive in every member's TimingBreakdown.
   for (int i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(timings[i].stage1_us, 1000.0);
     EXPECT_DOUBLE_EQ(timings[i].stage2_us, 200.0);
